@@ -5,8 +5,9 @@ lines of d whitespace-separated nonnegative decimal integers. A blank line
 ends the board; anything after it (e.g. an appended label table) is ignored.
 
 JSON format: an object {"d": int, "entries": [[int, ...], ...]}; entries may
-also be decimal strings, and the metadata keys "value", "lambda", "mu" are
-accepted. On output, big integers are always emitted as decimal strings.
+also be strings of ASCII decimal digits, and the metadata keys "value",
+"lambda", "mu" are accepted. Floats, booleans, signs and underscores are
+rejected. On output, big integers are always emitted as decimal strings.
 """
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ class BoardDocument:
             raise BoardParseError("JSON board needs an 'entries' key")
         try:
             rows = [[_parse_entry(x) for x in row] for row in data["entries"]]
-            d = int(data.get("d", len(rows)))
+            d = _parse_entry(data["d"]) if "d" in data else len(rows)
             value = _parse_entry(data["value"]) if "value" in data else None
             lam = tuple(_parse_entry(x) for x in data["lambda"]) if "lambda" in data else None
             mu = tuple(_parse_entry(x) for x in data["mu"]) if "mu" in data else None
@@ -92,10 +93,12 @@ class BoardDocument:
 
 
 def _parse_entry(token) -> int:
-    n = int(token)
-    if n < 0:
-        raise ValueError(f"negative entry {n}")
-    return n
+    # A JSON int (not a bool) or ASCII digits only; int() alone takes 1.9 and "1_0".
+    if isinstance(token, str) and token.isascii() and token.isdigit():
+        return int(token)
+    if type(token) is int and token >= 0:
+        return token
+    raise ValueError(f"entry {token!r} is not a nonnegative decimal integer")
 
 
 def format_board_text(m: SquareMatrix, header: bool = False) -> str:

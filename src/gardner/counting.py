@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .matrix import Scalar, g_value_of_flat
+from .matrix import Scalar, _composition_from_bars, g_value_of_flat
 
 #: Default ceiling on brute-force candidate counts.
 DEFAULT_BUDGET = 10 ** 8
@@ -117,17 +117,8 @@ def g_bruteforce(d: int, value: int, budget: int | None = None) -> int:
 
 def iter_compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative integers summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
     for bars in itertools.combinations(range(n + parts - 1), parts - 1):
-        out = []
-        prev = -1
-        for b in bars:
-            out.append(b - prev - 1)
-            prev = b
-        out.append(n + parts - 1 - prev - 1)
-        yield tuple(out)
+        yield _composition_from_bars(bars, n, parts)
 
 
 def g_labeling_oracle(d: int, value: int) -> int:

@@ -17,7 +17,9 @@ Every type is an immutable value, safe to share across threads.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,25 +157,14 @@ class GMatrix:
     value: Scalar
 
     def __post_init__(self) -> None:
-        check = is_g_matrix_fast(self.matrix)
-        if not check:
-            if check.negative_entry is not None:
-                raise ValueError(f"negative entry at {check.negative_entry}")
-            raise ValueError(
-                f"rook sums are not constant; violated quadruple {check.witness.quadruple}")
-        if check.value != self.value:
-            raise ValueError(f"declared value {self.value} != actual {check.value}")
+        value = _certified_value(self.matrix)
+        if value != self.value:
+            raise ValueError(f"declared value {self.value} != actual {value}")
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
         """Certify an arbitrary matrix, raising ValueError if it fails."""
-        check = is_g_matrix_fast(m)
-        if not check:
-            if check.negative_entry is not None:
-                raise ValueError(f"negative entry at {check.negative_entry}")
-            raise ValueError(
-                f"rook sums are not constant; violated quadruple {check.witness.quadruple}")
-        return cls(m, check.value)
+        return cls(m, _certified_value(m))
 
     @classmethod
     def zero(cls, d: int) -> "GMatrix":
@@ -291,6 +282,17 @@ def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
     return FastCheck(sum(rows[i][i] for i in range(d)))
 
 
+def _certified_value(a: SquareMatrix) -> Scalar:
+    """Rook-sum value of a G-matrix; a ValueError saying why otherwise."""
+    check = is_g_matrix_fast(a)
+    if check:
+        return check.value
+    if check.negative_entry is not None:
+        raise ValueError(f"negative entry at {check.negative_entry}")
+    raise ValueError(
+        f"rook sums are not constant; violated quadruple {check.witness.quadruple}")
+
+
 def g_value_of_flat(entries: Sequence[Scalar], d: int) -> Scalar | None:
     """Rook-sum value of a row-major entry tuple, or None.
 
@@ -349,25 +351,26 @@ def _composition_from_bars(bars: Sequence[int], n: int, parts: int) -> tuple[int
 
 
 def _random_composition(rng: random.Random, n: int, parts: int) -> tuple[int, ...]:
-    # Stars and bars: a uniform (parts-1)-subset of n+parts-1 slots.
-    if parts == 1:
-        return (n,)
-    bars = sorted(rng.sample(range(n + parts - 1), parts - 1))
-    return _composition_from_bars(bars, n, parts)
+    # Stars and bars: a uniform (parts-1)-subset of the n+parts-1 slots, by
+    # Floyd's algorithm (Bentley & Floyd, CACM 1987) so that any n works.
+    bars: set[int] = set()
+    for j in range(n, n + parts - 1):
+        t = rng.randrange(j + 1)
+        bars.add(j if t in bars else t)
+    return _composition_from_bars(sorted(bars), n, parts)
 
 
 def trick_generate(d: int, value: int, mode: Literal["uniform", "quick"] = "uniform",
                    seed: int = 0) -> GMatrix:
     """Generate an integer board with constant rook sum ``value``.
 
-    mode="uniform" draws uniformly among all such boards, by rejection
-    sampling on compositions of value into 2d labels (accept when the row
-    labels contain a zero; the acceptance rate is >= ~1/2 for value >= d).
-    mode="quick" composes any random labeling, with an unspecified (not
-    uniform) distribution over boards. Deterministic for a fixed seed.
-
-    d = 1 is a special case with a single board [[value]], returned directly
-    (rejection would accept only 1 of value+1 compositions there).
+    Draws uniformly among all g_d(value) boards with no rejection, in
+    O(d log d) arithmetic steps at any value. A board lies in half-open
+    cell k when mu_k is the first zero of its canonical row labels; cell k
+    holds C(value+2d-k-1, 2d-2) boards, one per composition of value-(k-1)
+    into the other 2d-1 labels once 1 is taken off mu_1..mu_{k-1}. So pick
+    k by cell size, draw that composition, set mu_k = 0 and add the 1s
+    back. Deterministic per seed; mode="quick" is kept as an alias.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -375,14 +378,16 @@ def trick_generate(d: int, value: int, mode: Literal["uniform", "quick"] = "unif
         raise ValueError("value must be >= 0")
     if mode not in ("uniform", "quick"):
         raise ValueError(f"unknown mode {mode!r}")
-    if d == 1:
-        return compose(Labeling((value,), (0,)))
     rng = random.Random(seed)
-    comp = _random_composition(rng, value, 2 * d)
-    if mode == "uniform":
-        while min(comp[d:]) != 0:
-            comp = _random_composition(rng, value, 2 * d)
-    return compose(Labeling(comp[:d], comp[d:]))
+    r = 2 * d - 2
+    weights = [math.comb(value + r, r)]
+    for m in range(value + r, value + d - 1, -1):
+        weights.append(weights[-1] * (m - r) // m)  # C(m-1, r) from C(m, r)
+    cumulative = list(itertools.accumulate(weights))
+    k = bisect.bisect_right(cumulative, rng.randrange(cumulative[-1]))  # cell k + 1
+    comp = _random_composition(rng, value - k, 2 * d - 1)
+    mu = [x + 1 for x in comp[d:d + k]] + [0] + list(comp[d + k:])
+    return compose(Labeling(comp[:d], mu))
 
 
 def scale(g: GMatrix, c: Scalar) -> GMatrix:

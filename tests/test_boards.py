@@ -41,6 +41,10 @@ def test_parse_leading_blank_lines():
     "a b\nc d\n",
     "1 -2\n3 4\n",
     "2 2\n",
+    "1_0 2\n3 4\n",
+    "\u0661 2\n3 4\n",
+    "+1 2\n3 4\n",
+    "1.0 2\n3 4\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(BoardParseError):
@@ -60,6 +64,14 @@ def test_parse_json():
     '{"d": 3, "entries": [[1, 2], [3, 4]]}',
     '{"entries": [[1, 2], [3, -4]]}',
     '{"d": 2}',
+    '{"entries": [[1.9, 2], [3, 4.2]]}',
+    '{"entries": [[1.0, 2], [3, 4]]}',
+    '{"entries": [[true, true], [true, true]]}',
+    '{"entries": [["1_0", "2"], ["3", "4"]]}',
+    '{"entries": [["\u0661", "2"], ["3", "4"]]}',
+    '{"entries": [[" 1", "2"], ["3", "4"]]}',
+    '{"d": 2.0, "entries": [[1, 2], [3, 4]]}',
+    '{"d": true, "entries": [[1]]}',
 ])
 def test_parse_rejects_malformed_json(text):
     with pytest.raises(BoardParseError):

@@ -41,6 +41,22 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"d": 2, "entries": [[1.9, 2], [3, 4.2]]}',
+    '{"d": 2, "entries": [[true, true], [true, true]]}',
+    '{"d": 2, "entries": [["1_0", "2"], ["3", "4"]]}',
+    '{"d": 2, "entries": [["\u0661", "2"], ["3", "4"]]}',
+    '{"d": 2.0, "entries": [[1, 2], [3, 4]]}',
+    "1_0 2\n3 4\n",
+    "\u0661 2\n3 4\n",
+])
+def test_verify_rejects_non_integer_entries(capsys, tmp_path, text):
+    path = tmp_path / "board.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and "error" in err
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/board.txt")
     assert code == 2
@@ -101,6 +117,16 @@ def test_trick_json_and_text_agree(capsys):
     payload = json.loads(json_out)
     json_numbers = [int(x) for row in payload["entries"] for x in row]
     assert text_numbers == json_numbers
+
+
+@pytest.mark.parametrize("args", [("2", str(10 ** 12)),
+                                  ("2", str(10 ** 20), "--mode", "quick")])
+def test_trick_big_values(capsys, tmp_path, args):
+    code, out, err = run(capsys, "trick", *args, "--seed", "9")
+    assert code == 0 and "Traceback" not in err
+    path = tmp_path / "board.txt"
+    path.write_text(out)
+    assert run(capsys, "verify", str(path))[:2] == (0, f"value {args[1]}\n")
 
 
 def test_trick_usage_error(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_COL_LABELS, EXAMPLE_ROW_LABELS, EXAMPLE_VALUE
+from gardner.counting import g_formula_3, halfopen_simplex_count, iter_g_matrices_flat
 from gardner.matrix import (FactorialGuardError, GMatrix, Labeling,
                             SquareMatrix, compose, decompose_canonical,
                             is_g_matrix_bruteforce, is_g_matrix_fast,
                             permutation_sum, scale, trick_generate)
+from gardner.polytope import locate
 
 
 def mat(rows) -> SquareMatrix:
@@ -263,6 +266,45 @@ def test_trick_canonicalizes_quick_mode():
         g = trick_generate(3, 11, "quick", seed=s)
         assert g.value == 11
         assert is_g_matrix_fast(g.matrix).value == 11
+
+
+def _chi2_within_bound(observed, expected):
+    # Pearson's statistic against its own mean + 6 standard deviations
+    # (chi2 with k dof has mean k and variance 2k). The draws are seeded, so
+    # the test is deterministic; the wide margin only keeps a change of seed
+    # from failing it, while a biased sampler lands far beyond it.
+    stat = sum((observed.get(key, 0) - e) ** 2 / e for key, e in expected.items())
+    dof = len(expected) - 1
+    return stat <= dof + 6 * (2 * dof) ** 0.5
+
+
+@pytest.mark.parametrize("d,value", [(1, 5), (2, 0), (2, 3), (3, 2), (4, 1)])
+def test_trick_samples_each_halfopen_cell_by_its_size(d, value):
+    boards = [SquareMatrix(tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d)))
+              for flat in iter_g_matrices_flat(d, value)]
+    cell_sizes = {k: halfopen_simplex_count(2 * d - 1, k - 1, value) for k in range(1, d + 1)}
+    exhaustive = Counter(locate(GMatrix.from_matrix(m)) for m in boards)
+    assert {k: exhaustive.get(k, 0) for k in cell_sizes} == cell_sizes
+    draws = [trick_generate(d, value, seed=s) for s in range(200 * len(boards))]
+    assert {g.matrix for g in draws} == set(boards)
+    per_cell = Counter(locate(g) for g in draws)
+    expected = {k: len(draws) * n / len(boards) for k, n in cell_sizes.items() if n}
+    assert set(per_cell) == set(expected)
+    assert _chi2_within_bound(per_cell, expected)
+
+
+def test_trick_uniform_chi_squared():
+    d, value = 2, 3  # g_2(3) = 16 boards
+    draws = Counter(trick_generate(d, value, seed=s).matrix for s in range(16_000))
+    assert len(draws) == g_formula_3(d, value)
+    assert _chi2_within_bound(draws, {m: 1000 for m in draws})
+
+
+@pytest.mark.parametrize("d,value,mode", [(2, 10 ** 12, "uniform"), (5, 10 ** 30, "uniform"),
+                                          (2, 10 ** 20, "quick")])
+def test_trick_big_values(d, value, mode):
+    g = trick_generate(d, value, mode, seed=7)
+    assert g.d == d and is_g_matrix_fast(g.matrix).value == value
 
 
 def test_trick_validates_arguments():
