@@ -10,13 +10,12 @@ dilate of the value-1 polytope. Three closed forms are implemented:
 
 (1) is inclusion-exclusion over the triangulation cells, (2) counts faces by
 dimension through their open-simplex counts, (3) sums the half-open cells.
-All three agree with a polynomial in N of degree 2d-2.
+All three agree with a polynomial in N of degree 2d-2, which `interpolate`
+expands from the product form of (3); `roots_check` certifies its roots.
 
 Two independent brute-force oracles are provided (a full matrix sweep and a
-labeling enumeration), plus exact interpolation to the counting polynomial,
-interior counts for the reciprocity/Gorenstein cross-checks, and a numerical
-root-location report. Root finding is the only floating-point code in the
-package.
+labeling enumeration), plus interior counts for the reciprocity/Gorenstein
+cross-checks.
 
 Binomial convention: C(n, k) = 0 for k < 0; for negative n the polynomial
 extension n(n-1)...(n-k+1)/k! applies, so e.g. C(-1, k) = (-1)^k. Formula (2)
@@ -29,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
-
-import numpy as np
 
 from .matrix import Scalar, _composition_from_bars, g_value_of_flat
 
@@ -270,37 +267,23 @@ class CountingPolynomial:
         return cls(int(data["d"]), tuple(Fraction(c) for c in data["coeffs"]))
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _times_rising(poly: list[int], start: int, count: int) -> list[int]:
+    """Multiply an integer polynomial by (N+start)...(N+start+count-1)."""
+    for a in range(start, start + count):
+        poly = [a * c + prev for c, prev in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def interpolate(d: int) -> CountingPolynomial:
-    """Exact Lagrange interpolation of g_d through N = 0..2d-2.
-
-    2d-1 nodes pin down the degree-(2d-2) polynomial; agreement with the
-    closed form beyond the nodes is asserted by the test suite.
-    """
+    """Exact coefficients of g_d, expanded over the integers from the product
+    form (2d-1)! g_d(N) = (N+1)...(N+d-1) [(N+d)...(N+2d-1) - (N-d+1)...N]."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    nodes = list(range(2 * d - 1))
-    values = [g_formula_3(d, n) for n in nodes]
-    coeffs = [Fraction(0)] * len(nodes)
-    for i, xi in enumerate(nodes):
-        basis = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [Fraction(-xj), Fraction(1)])
-            denom *= xi - xj
-        w = Fraction(values[i], denom)
-        for k, b in enumerate(basis):
-            coeffs[k] += w * b
-    return CountingPolynomial(d, tuple(coeffs))
+    upper, lower = _times_rising([1], d, d), _times_rising([1], 1 - d, d)
+    bracket = [a - b for a, b in zip(upper[:-1], lower[:-1])]
+    scale = math.factorial(2 * d - 1)
+    return CountingPolynomial(d, tuple(Fraction(c, scale)
+                                       for c in _times_rising(bracket, 1, d - 1)))
 
 
 def interior_count_bruteforce(d: int, value: int, budget: int | None = None) -> int:
@@ -311,9 +294,8 @@ def interior_count_bruteforce(d: int, value: int, budget: int | None = None) -> 
 
 @dataclass(frozen=True)
 class RootsReport:
-    """Numerically located roots of the counting polynomial with their
-    classification: each should be a negative integer or lie on the vertical
-    line Re = -d/2."""
+    """Certified roots of the counting polynomial: -1..-(d-1) first, then
+    those on the line Re = -d/2 by ascending imaginary part."""
 
     d: int
     tolerance: float
@@ -322,30 +304,66 @@ class RootsReport:
     passed: bool
 
 
-def roots_check(d: int, tol: float = 1e-8) -> RootsReport:
-    """Locate the 2d-2 roots of the counting polynomial and classify each.
+def _line_sign(d: int, t: float) -> int:
+    """Exact sign of Im F(t) (even d) or Re F(t) (odd d), computed with t = p/q
+    as the Gaussian-integer product of (d+2j)q + 2ip = 2q(d/2 + j + it)."""
+    p, q = t.as_integer_ratio()
+    re, im = 1, 0
+    for j in range(d):
+        a = (d + 2 * j) * q
+        re, im = re * a - im * 2 * p, re * 2 * p + im * a
+    value = im if d % 2 == 0 else re
+    return (value > 0) - (value < 0)
 
-    Uses balanced companion-matrix eigenvalues in double precision (the one
-    floating-point computation in the package). A root within tol of some
-    -k (k >= 1) is 'negative-integer'; one with |Re + d/2| < tol is
-    'critical-line'; the report passes iff nothing is left unclassified.
+
+def _bracket(d: int, theta: float, tol: float) -> tuple[float, tuple[float, float] | None]:
+    """Float t >= 0 with arg F(t) = theta >= 0, by Newton from (d/2) tan(theta/d),
+    below the root (arg F is increasing and concave on t >= 0); then doubles
+    lo <= hi at most tol apart, _line_sign nonzero at one end and zero or
+    opposite at the other, by widening around t and bisecting; or None."""
+    a = [d / 2 + j for j in range(d)]
+    t, step = d / 2 * math.tan(theta / d), math.inf
+    while step > 2 * math.ulp(t):
+        step = (theta - sum(math.atan(t / x) for x in a)) / sum(x / (x * x + t * t) for x in a)
+        t += step
+    sign, near, far, step = _line_sign(d, t), t, None, 128 * math.ulp(t)
+    if sign == 0:
+        return t, (t, t)
+    while far is None and step < t:
+        far = next((x for x in (t + step, t - step) if _line_sign(d, x) != sign), None)
+        step *= 2
+    while far is not None and abs(Fraction(far) - Fraction(near)) > tol:
+        mid = (near + far) / 2
+        if mid in (near, far):
+            return t, None
+        near, far = (mid, far) if _line_sign(d, mid) == sign else (near, mid)
+    return t, None if far is None else (min(near, far), max(near, far))
+
+
+def roots_check(d: int, tol: float = 1e-8) -> RootsReport:
+    """Locate the 2d-2 roots of the counting polynomial and certify each.
+
+    (N+1)...(N+d-1) gives -1..-(d-1). On N = -d/2 + it the bracket of (3) is
+    F(t) - (-1)^d conj F(t), F(t) = prod_{j<d} (d/2 + j + it), so it vanishes
+    where arg F(t) = (k - (d-2)/2) pi, k = 0..d-2 (Hermite-Biehler). Each such
+    t >= 0 gets an exact bracket no wider than tol, mirrored to -t; d-1
+    disjoint brackets are all the bracket's roots. For even d, t = 0 is the
+    exact double root -d/2. A root no two doubles within tol can bracket is
+    'unclassified'.
     """
     if d < 2:
         raise ValueError("root check needs d >= 2")
-    poly = interpolate(d)
-    highest_first = [float(c) for c in reversed(poly.coefficients)]
-    try:
-        roots = np.roots(np.array(highest_first, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("root finder did not converge") from exc
-    labels = []
-    for r in roots:
-        nearest = round(r.real)
-        if nearest <= -1 and abs(r - nearest) <= tol:
-            labels.append("negative-integer")
-        elif abs(r.real + d / 2) < tol:
-            labels.append("critical-line")
-        else:
-            labels.append("unclassified")
-    return RootsReport(d=d, tolerance=tol, roots=tuple(complex(r) for r in roots),
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number")
+    upper = [_bracket(d, (k - (d - 2) / 2) * math.pi, tol) for k in range((d - 1) // 2, d - 1)]
+    pairs = [(-t, b and (-b[1], -b[0])) for t, b in reversed(upper[d % 2 == 0:])] + upper
+    found = [b for _, b in pairs if b]
+    if any(b1[1] >= b2[0] for b1, b2 in zip(found, found[1:])):
+        pairs = [(t, None) for t, _ in pairs]  # overlapping brackets certify nothing
+    roots = [complex(-k) for k in range(1, d)] + [
+        complex(-d / 2, t if b is None else min(max(t, b[0]), b[1])) for t, b in pairs]
+    labels = ["negative-integer"] * (d - 1) + [
+        "unclassified" if b is None else "negative-integer" if b == (0, 0) else "critical-line"
+        for _, b in pairs]
+    return RootsReport(d=d, tolerance=tol, roots=tuple(roots),
                        labels=tuple(labels), passed="unclassified" not in labels)

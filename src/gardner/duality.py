@@ -119,6 +119,8 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
     sums 1 + nonnegativity is equivalent to pairing to 1 against every R_i
     and C_j; samples include true points, perturbed points, and noise.
     """
+    if sample_count < 0:
+        raise ValueError("sample_count must be >= 0")
     if d > guard:
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
     rng = random.Random(seed)

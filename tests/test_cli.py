@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import EXAMPLE_ROWS
+import gardner
 from gardner.boards import format_board_text
 from gardner.cli import main
 from gardner.matrix import SquareMatrix
@@ -179,6 +183,19 @@ def test_roots_command(capsys):
     assert code == 0 and payload["passed"] and len(payload["roots"]) == 8
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_roots_bad_tolerance_is_usage_error(capsys, tol):
+    code, out, err = run(capsys, "roots", "5", "--tol", tol)
+    assert code == 2 and out == "" and "tol" in err
+
+
+def test_roots_large_d(capsys):
+    code, out, err = run(capsys, "roots", "90")
+    assert code == 0 and "Traceback" not in err
+    assert out.splitlines()[-1] == "all roots classified"
+    assert len(out.splitlines()) == 2 * 90 - 2 + 1
+
+
 def test_decompose_command(capsys, example_file):
     code, out, _ = run(capsys, "decompose", example_file)
     assert code == 0
@@ -208,6 +225,19 @@ def test_duality_command(capsys):
     assert code == 0 and "passed" in out
     code, out, _ = run(capsys, "duality", "2", "--samples", "4", "--json")
     assert code == 0 and json.loads(out)["passed"]
+
+
+def test_duality_negative_samples_is_usage_error(capsys):
+    code, _, err = run(capsys, "duality", "3", "--samples", "-1")
+    assert code == 2 and "sample" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(gardner.__file__).resolve().parents[1]
+    probe = "import sys, gardner.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            cwd=src, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_unknown_command(capsys):

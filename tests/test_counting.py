@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -275,3 +276,74 @@ def test_roots_impossible_tolerance_fails():
     report = roots_check(3, tol=1e-300)
     assert not report.passed
     assert "unclassified" in report.labels
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_roots_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        roots_check(5, tol=tol)
+
+
+def test_roots_pass_for_every_d_up_to_100():
+    failing = [d for d in range(2, 101) if not roots_check(d).passed]
+    assert failing == []
+
+
+def test_roots_order_and_arg_equation():
+    # The d-1 bracket roots follow -1..-(d-1) by ascending imaginary part;
+    # the k-th solves sum_j atan(t / (d/2 + j)) = (k - (d-2)/2) pi. The
+    # monotone float sum straddles the target over [t - tol, t + tol].
+    tol = 1e-8
+    for d in list(range(2, 21)) + [40, 90]:
+        report = roots_check(d, tol)
+        assert report.roots[:d - 1] == tuple(complex(-k) for k in range(1, d))
+        for k, (root, label) in enumerate(zip(report.roots[d - 1:], report.labels[d - 1:])):
+            assert root.real == -d / 2
+            target = (k - (d - 2) / 2) * math.pi
+            if label == "negative-integer":
+                assert d % 2 == 0 and root.imag == 0 and target == 0
+                continue
+            assert label == "critical-line"
+            arg = [sum(math.atan(t / (d / 2 + j)) for j in range(d))
+                   for t in (root.imag - tol, root.imag + tol)]
+            assert arg[0] < target < arg[1]
+
+
+def test_roots_match_known_values():
+    # Imaginary parts agree with a double-precision eigenvalue solver at the
+    # d where it still works; d = 4 has the closed form -2 +- i sqrt(11).
+    assert abs(roots_check(4).roots[-1] - complex(-2, math.sqrt(11))) < 1e-12
+    assert abs(roots_check(9).roots[-1].imag - 23.1007) < 1e-4
+    assert abs(roots_check(40).roots[-1].imag - 501.6312) < 1e-4
+
+
+# ------------------------------------------ Lagrange interpolation as oracle
+
+def _lagrange(d):
+    """Exact Lagrange interpolation of g_d through N = 0..2d-2, kept as an
+    independent oracle for the product-form coefficients."""
+    nodes = list(range(2 * d - 1))
+    coeffs = [Fraction(0)] * len(nodes)
+    for i, xi in enumerate(nodes):
+        basis, denom = [Fraction(1)], 1
+        for xj in nodes:
+            if xj == xi:
+                continue
+            basis = [a - xj * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+            denom *= xi - xj
+        w = Fraction(g_formula_3(d, xi), denom)
+        for k, b in enumerate(basis):
+            coeffs[k] += w * b
+    return tuple(coeffs)
+
+
+def test_interpolate_matches_lagrange_oracle():
+    for d in range(1, 11):
+        assert interpolate(d).coefficients == _lagrange(d)
+
+
+@pytest.mark.parametrize("d", [1, 20, 40, 80])
+def test_interpolate_matches_formula_3_at_large_d(d):
+    poly = interpolate(d)
+    assert poly.degree == 2 * d - 2
+    assert all(poly.evaluate(n) == g_formula_3(d, n) for n in range(4 * d))
