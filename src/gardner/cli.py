@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse
 error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment
-variable overrides the default brute-force candidate ceiling.
+variable overrides the default brute-force candidate ceiling; the sweep counts
+its first-row and first-column candidates, (N+1)^(2d-1). A budget that is not
+a nonnegative integer exits 2.
 """
 from __future__ import annotations
 
@@ -28,7 +30,10 @@ EXIT_BUDGET = 3
 
 def _budget_from_env() -> int | None:
     raw = os.environ.get("GARDNER_BUDGET")
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise ValueError(f"GARDNER_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _emit(data: dict, as_json: bool, text: str) -> None:

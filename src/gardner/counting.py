@@ -13,9 +13,9 @@ dimension through their open-simplex counts, (3) sums the half-open cells.
 All three agree with a polynomial in N of degree 2d-2, which `interpolate`
 expands from the product form of (3); `roots_check` certifies its roots.
 
-Two independent brute-force oracles are provided (a full matrix sweep and a
-labeling enumeration), plus interior counts for the reciprocity/Gorenstein
-cross-checks.
+Two independent brute-force oracles are provided (a sweep over the first row
+and column, completed by the 2x2 exchange rule, and a labeling enumeration),
+plus interior counts for the reciprocity/Gorenstein cross-checks.
 
 Binomial convention: C(n, k) = 0 for k < 0; for negative n the polynomial
 extension n(n-1)...(n-k+1)/k! applies, so e.g. C(-1, k) = (-1)^k. Formula (2)
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .matrix import Scalar, _composition_from_bars, g_value_of_flat
+from .matrix import Scalar, _composition_from_bars
 
 #: Default ceiling on brute-force candidate counts.
 DEFAULT_BUDGET = 10 ** 8
@@ -83,6 +83,8 @@ def _check_dn(d: int, value: int) -> None:
 
 
 def _resolve_budget(budget: int | None) -> int:
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     return DEFAULT_BUDGET if budget is None else budget
 
 
@@ -90,21 +92,27 @@ def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
                          budget: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield every integer G-matrix of the given value, as a row-major tuple.
 
-    Sweeps all (value+1-min_entry)^(d*d) candidate matrices and filters by
-    the O(d^2) rook-sum check; min_entry=1 restricts to boards with all
-    entries strictly positive (interior lattice points). Raises
-    BudgetExceededError up front if the sweep is too large.
+    Constant rook sums force the 2x2 exchange rule a_ij = a_i1 + a_1j - a_11,
+    so the first row and column fix the board. Sweeps those
+    (value+1-min_entry)^(2d-1) candidates and keeps the completions with trace
+    = value and every entry >= min_entry (so none exceeds value), in row-major
+    lexicographic order; min_entry=1 gives the interior lattice points.
+    Raises BudgetExceededError up front if the sweep is too large.
     """
     _check_dn(d, value)
     entry_range = range(min_entry, value + 1)
-    candidates = len(entry_range) ** (d * d)
+    candidates = len(entry_range) ** (2 * d - 1)
     limit = _resolve_budget(budget)
     if candidates > limit:
         raise BudgetExceededError(
             f"{candidates} candidates exceed the budget {limit}")
-    for t in itertools.product(entry_range, repeat=d * d):
-        if g_value_of_flat(t, d) == value:
-            yield t
+    for top in itertools.product(entry_range, repeat=d):
+        a11, low, total = top[0], min(top), sum(top) - (d - 1) * top[0]
+        for col in itertools.product(entry_range, repeat=d - 1):
+            # trace = sum(top) + sum_{i>1} (a_i1 - a_11); smallest entry =
+            # min(top) + min_i (a_i1 - a_11), the i = 1 term being 0
+            if total + sum(col) == value and low + min(col, default=a11) - a11 >= min_entry:
+                yield top + tuple(c - a11 + x for c in col for x in top)
 
 
 def g_bruteforce(d: int, value: int, budget: int | None = None) -> int:

@@ -293,22 +293,6 @@ def _certified_value(a: SquareMatrix) -> Scalar:
         f"rook sums are not constant; violated quadruple {check.witness.quadruple}")
 
 
-def g_value_of_flat(entries: Sequence[Scalar], d: int) -> Scalar | None:
-    """Rook-sum value of a row-major entry tuple, or None.
-
-    Low-level variant of :func:`is_g_matrix_fast` for enumeration sweeps;
-    entries are assumed nonnegative.
-    """
-    a11 = entries[0]
-    for i in range(1, d):
-        off = i * d
-        base = entries[off] - a11
-        for j in range(1, d):
-            if entries[off + j] - entries[j] != base:
-                return None
-    return sum(entries[i * d + i] for i in range(d))
-
-
 DecompositionOrder = Literal["columns-first", "rows-first"]
 
 

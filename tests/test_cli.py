@@ -168,6 +168,15 @@ def test_count_budget_exit_code(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[1] == "oracle: 55"
 
 
+@pytest.mark.parametrize("raw", ["-1", "1e6", "abc", "10.5"])
+def test_count_bad_budget_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("GARDNER_BUDGET", raw)
+    code, out, err = run(capsys, "count", "2", "3", "--oracle")
+    assert code == 2 and out == "" and "budget" in err.lower()
+    if raw != "-1":
+        assert "GARDNER_BUDGET" in err
+
+
 def test_poly_text_and_json(capsys):
     code, out, _ = run(capsys, "poly", "2")
     assert code == 0 and out.strip() == "1 + 2N + N^2"

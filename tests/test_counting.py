@@ -12,6 +12,7 @@ from gardner.counting import (BudgetExceededError, CountingPolynomial, binom,
                               interior_count_bruteforce, interpolate,
                               iter_compositions, iter_g_matrices_flat,
                               open_simplex_count, roots_check, simplex_count)
+from gardner.matrix import SquareMatrix, is_g_matrix_bruteforce
 
 
 # ------------------------------------------------- independent point oracles
@@ -124,6 +125,50 @@ def test_bruteforce_budget():
     with pytest.raises(BudgetExceededError):
         g_bruteforce(2, 3, budget=10)
     assert g_bruteforce(2, 1, budget=16) == 4
+
+
+def test_bruteforce_budget_rejects_negative():
+    with pytest.raises(ValueError, match="budget"):
+        g_bruteforce(2, 1, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        interior_count_bruteforce(2, 1, budget=-1)
+
+
+def test_bruteforce_budget_counts_first_row_and_column():
+    # the sweep visits (N+1-min_entry)^(2d-1) candidates, and the budget is inclusive
+    assert g_bruteforce(3, 4, budget=5 ** 5) == g_formula_3(3, 4)
+    with pytest.raises(BudgetExceededError, match=str(5 ** 5)):
+        g_bruteforce(3, 4, budget=5 ** 5 - 1)
+    assert interior_count_bruteforce(3, 4, budget=4 ** 5) == g_formula_3(3, 1)
+    with pytest.raises(BudgetExceededError, match=str(4 ** 5)):
+        interior_count_bruteforce(3, 4, budget=4 ** 5 - 1)
+
+
+def _full_sweep(d, n, min_entry):
+    """Every d-by-d board with entries in min_entry..n and rook sum n, by the
+    d! definition, in row-major lexicographic order."""
+    boards = []
+    for t in itertools.product(range(min_entry, n + 1), repeat=d * d):
+        rows = [list(t[i * d:(i + 1) * d]) for i in range(d)]
+        if is_g_matrix_bruteforce(SquareMatrix(rows)) == n:
+            boards.append(t)
+    return boards
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 6), (2, 6), (3, 2)])
+@pytest.mark.parametrize("min_entry", [0, 1])
+def test_sweep_matches_full_sweep(d, n_max, min_entry):
+    for n in range(n_max + 1):
+        assert list(iter_g_matrices_flat(d, n, min_entry)) == _full_sweep(d, n, min_entry)
+
+
+def test_bruteforce_matches_formula_beyond_d3():
+    for n in range(4):
+        assert g_bruteforce(4, n) == g_formula_3(4, n)
+    for n in range(3):
+        assert g_bruteforce(5, n) == g_formula_3(5, n)
+    for n in (4, 5):
+        assert interior_count_bruteforce(4, n) == g_formula_3(4, n - 4)
 
 
 def test_labeling_oracle():

@@ -240,6 +240,10 @@ def test_gorenstein_d3_unique_interior_point():
     assert report.passed and report.unique_interior_point_is_j
 
 
+def test_gorenstein_d4():
+    assert gorenstein_check(4, 5).passed
+
+
 def test_compressed_check():
     for d in (2, 3):
         report = compressed_check(d, sample_count=120, seed=d)
