@@ -90,14 +90,14 @@ def _resolve_budget(budget: int | None) -> int:
 
 def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
                          budget: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield every integer G-matrix of the given value, as a row-major tuple.
+    """Iterate over every integer G-matrix of the given value, as row-major tuples.
 
     Constant rook sums force the 2x2 exchange rule a_ij = a_i1 + a_1j - a_11,
     so the first row and column fix the board. Sweeps those
     (value+1-min_entry)^(2d-1) candidates and keeps the completions with trace
     = value and every entry >= min_entry (so none exceeds value), in row-major
     lexicographic order; min_entry=1 gives the interior lattice points.
-    Raises BudgetExceededError up front if the sweep is too large.
+    Raises BudgetExceededError at the call if the sweep is too large.
     """
     _check_dn(d, value)
     entry_range = range(min_entry, value + 1)
@@ -106,6 +106,10 @@ def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
     if candidates > limit:
         raise BudgetExceededError(
             f"{candidates} candidates exceed the budget {limit}")
+    return _sweep(d, value, min_entry, entry_range)
+
+
+def _sweep(d: int, value: int, min_entry: int, entry_range: range) -> Iterator[tuple[int, ...]]:
     for top in itertools.product(entry_range, repeat=d):
         a11, low, total = top[0], min(top), sum(top) - (d - 1) * top[0]
         for col in itertools.product(entry_range, repeat=d - 1):

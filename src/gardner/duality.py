@@ -208,15 +208,17 @@ class AffineSubspace:
         which case a basis of their span is extracted.
         """
         ambient = len(point)
-        point_v = linalg.to_vec(point)
-        dirs = [linalg.to_vec(v) for v in directions]
-        if any(len(v) != ambient for v in dirs):
+        if any(len(v) != ambient for v in directions):
             raise ValueError("direction length mismatch")
-        reduced, pivots = linalg.rref(dirs) if dirs else ([], [])
-        if not reduce and len(pivots) != len(dirs):
+        reduced, pivots = linalg.rref(directions)
+        if not reduce and len(pivots) != len(directions):
             raise ValueError("directions are linearly dependent")
-        basis = tuple(tuple(row) for row in reduced)
-        q = _perp_component(point_v, basis)
+        basis = tuple(map(tuple, reduced))
+        q = linalg.to_vec(point)
+        if basis:  # subtract the orthogonal projection onto the span, via the Gram system
+            gram = [[linalg.dot(u, v) for v in basis] for u in basis]
+            coeffs = linalg.solve_unique(gram, [linalg.dot(u, q) for u in basis])
+            q = tuple(x - sum(c * b[k] for c, b in zip(coeffs, basis)) for k, x in enumerate(q))
         return cls(ambient, q, basis)
 
     @property
@@ -229,22 +231,7 @@ class AffineSubspace:
 
     def spanning_points(self) -> list[tuple[Fraction, ...]]:
         """q together with q + b for each basis direction b."""
-        pts = [self.q]
-        for b in self.basis:
-            pts.append(tuple(qx + bx for qx, bx in zip(self.q, b)))
-        return pts
-
-
-def _perp_component(point: linalg.Vec, basis: tuple[tuple[Fraction, ...], ...]) -> linalg.Vec:
-    # point minus its orthogonal projection onto span(basis), via the Gram
-    # system (basis is independent, so the Gram matrix is invertible).
-    if not basis:
-        return point
-    gram = [[linalg.dot(u, v) for v in basis] for u in basis]
-    rhs = [linalg.dot(u, point) for u in basis]
-    coeffs = linalg.solve_unique(gram, rhs)
-    proj = [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(len(point))]
-    return tuple(x - p for x, p in zip(point, proj))
+        return [self.q] + [tuple(qx + bx for qx, bx in zip(self.q, b)) for b in self.basis]
 
 
 def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
@@ -252,20 +239,23 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
 
     For L = q + U (normalized) this is q/|q|^2 + (U-perp ∩ q-perp); it is
     empty exactly when L passes through the origin (q = 0), which raises.
-    The construction is verified on spanning sets before returning, and
-    applying it twice returns the original subspace.
+    q/|q|^2 is orthogonal to the dual directions (q is one of their
+    constraints), so it is already the normalized base point. The result is
+    verified on spanning sets, over the integers, before returning; applying
+    it twice returns the original subspace.
     """
     if all(x == 0 for x in sub.q):
         raise ValueError("subspace contains the origin; its dual is empty")
     norm_sq = linalg.dot(sub.q, sub.q)
     q_dual = tuple(x / norm_sq for x in sub.q)
-    constraints = list(sub.basis) + [sub.q]
-    dual_basis = linalg.nullspace(constraints, sub.ambient)
-    result = AffineSubspace.from_point_and_directions(q_dual, dual_basis)
-    for x in sub.spanning_points():
-        for y in result.spanning_points():
-            if linalg.dot(x, y) != 1:
-                raise AssertionError("dual construction failed its pairing check")
+    reduced, _ = linalg.rref(linalg.nullspace(list(sub.basis) + [sub.q], sub.ambient))
+    result = AffineSubspace(sub.ambient, q_dual, tuple(map(tuple, reduced)))
+    if any(linalg.dot(b, sub.q) != 0 for b in result.basis):
+        raise AssertionError("dual directions are not orthogonal to the base point")
+    ys = [linalg.integer_vector(y) for y in result.spanning_points()]
+    for x, dx in map(linalg.integer_vector, sub.spanning_points()):
+        if any(sum(a * b for a, b in zip(x, y)) != dx * dy for y, dy in ys):
+            raise AssertionError("dual construction failed its pairing check")
     return result
 
 
@@ -338,34 +328,30 @@ def gale_pair_from_recipe(sub: AffineSubspace, sample_count: int = 20,
     return GaleDualPair(p_desc, q_desc, checked)
 
 
-def _flatten(m: SquareMatrix) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in m.flat())
+def _centered_hull(d: int, directions: list[list[int]]) -> AffineSubspace:
+    # J/d is on both hulls and orthogonal to every direction (entries sum to 0)
+    # so it is the normalized base point; the basis is the directions' RREF
+    reduced, _ = linalg.rref(directions)
+    return AffineSubspace(d * d, (Fraction(1, d),) * (d * d), tuple(map(tuple, reduced)))
 
 
 def gardner_hull(d: int) -> AffineSubspace:
     """Affine hull of the value-1 G-matrices, dimension 2d-2."""
-    base = [Fraction(1, d)] * (d * d)
-    c1 = _flatten(vertex_matrix(all_vertices(d)[0]))
-    directions = []
-    for v in all_vertices(d)[1:]:
-        flat = _flatten(vertex_matrix(v))
-        directions.append(tuple(a - b for a, b in zip(flat, c1)))
-    return AffineSubspace.from_point_and_directions(base, directions, reduce=True)
+    c1, *others = (vertex_matrix(v).flat() for v in all_vertices(d))
+    return _centered_hull(d, [[a - b for a, b in zip(v, c1)] for v in others])
 
 
 def birkhoff_hull(d: int) -> AffineSubspace:
-    """Affine hull of the doubly stochastic matrices, dimension (d-1)^2."""
-    base = [Fraction(1, d)] * (d * d)
+    """Affine hull of the doubly stochastic matrices, dimension (d-1)^2; its
+    directions E_ij - E_id - E_dj + E_dd (i, j < d) are their own RREF."""
     directions = []
     for i in range(d - 1):
         for j in range(d - 1):
-            vec = [Fraction(0)] * (d * d)
-            vec[i * d + j] = Fraction(1)
-            vec[i * d + (d - 1)] = Fraction(-1)
-            vec[(d - 1) * d + j] = Fraction(-1)
-            vec[(d - 1) * d + (d - 1)] = Fraction(1)
-            directions.append(tuple(vec))
-    return AffineSubspace.from_point_and_directions(base, directions)
+            vec = [0] * (d * d)
+            vec[i * d + j] = vec[(d - 1) * d + (d - 1)] = 1
+            vec[i * d + (d - 1)] = vec[(d - 1) * d + j] = -1
+            directions.append(vec)
+    return _centered_hull(d, directions)
 
 
 @dataclass(frozen=True)
@@ -434,18 +420,14 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
         check = is_g_matrix_fast(m)
         return bool(check) and check.value == 1
 
-    g_hull = gardner_hull(d)
-    b_hull = birkhoff_hull(d)
     for hull, predicate, name in (
-            (g_hull, has_g_value_one, "value-1 G-check"),
-            (b_hull, is_doubly_stochastic, "doubly stochastic check")):
+            (gardner_hull(d), has_g_value_one, "value-1 G-check"),
+            (birkhoff_hull(d), is_doubly_stochastic, "doubly stochastic check")):
         for _ in range(sample_count):
             samples += 1
             jitter = [_bounded_fraction(rng, -1, 1) / (4 * d) for _ in hull.basis]
-            point = list(hull.q)
-            for c, b in zip(jitter, hull.basis):
-                for k in range(len(point)):
-                    point[k] += c * b[k]
+            point = [qk + sum(c * b[k] for c, b in zip(jitter, hull.basis) if b[k])
+                     for k, qk in enumerate(hull.q)]
             if not all(0 <= x <= 1 for x in point):
                 continue
             inside += 1

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Row reduction, rank, null spaces, unique solves, and a fraction-free integer
-determinant. Everything works on sequences of ``fractions.Fraction`` (or
-ints); nothing here touches floating point.
+Row reduction, rank, null spaces, unique solves, and an integer determinant,
+all by fraction-free elimination: rows are cleared of denominators and
+reduced over the integers (as in Bareiss, Math. Comp. 1968). Rows may hold
+anything ``fractions.Fraction`` accepts, floats read exactly; ``dot`` takes
+ints and Fractions. Nothing here rounds.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,15 +22,23 @@ def to_vec(xs: Sequence) -> Vec:
 def dot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    return Fraction(sum(a * b for a, b in zip(u, v)))
+
+
+def integer_vector(xs: Sequence) -> tuple[list[int], int]:
+    """Integers n_k and a denominator D > 0 with n_k / D == xs[k]."""
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    den = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.
 
     Returns the nonzero reduced rows and the list of pivot column indices.
+    Works on rows of coprime integers and divides by the pivots at the end.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [integer_vector(row)[0] for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -38,17 +49,19 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        top, p = m[r], m[r][c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                g = math.gcd(p, f)
+                row = [(p // g) * a - (f // g) * b for a, b in zip(m[i], top)]
+                h = math.gcd(*row)
+                m[i] = [x // h for x in row] if h > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence, Union
+from typing import Iterable, Iterator, Literal, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -253,6 +253,17 @@ def _exchange_permutations(d: int, i: int, j: int) -> tuple[tuple[int, ...], tup
     return sigma, sigma_prime
 
 
+def _exchange_violations(a: SquareMatrix) -> Iterator[tuple[int, int]]:
+    # (i, j), 1-based, of each violated A[i,j] + A[1,1] = A[1,j] + A[i,1]
+    top = a.rows[0]
+    for i in range(1, a.d):
+        ri = a.rows[i]
+        base = ri[0] - top[0]
+        for j in range(1, a.d):
+            if ri[j] - top[j] != base:
+                yield i + 1, j + 1
+
+
 def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
     """O(d^2) rook-sum check.
 
@@ -262,24 +273,16 @@ def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
     carries a Witness with two placements whose sums differ.
     """
     rows = a.rows
-    d = a.d
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if x < 0:
                 return FastCheck(None, negative_entry=(i + 1, j + 1))
-    a11 = rows[0][0]
-    top = rows[0]
-    for i in range(1, d):
-        ri = rows[i]
-        base = ri[0] - a11
-        for j in range(1, d):
-            if ri[j] - top[j] != base:
-                sigma, sigma_prime = _exchange_permutations(d, i + 1, j + 1)
-                sums = (permutation_sum(a, sigma), permutation_sum(a, sigma_prime))
-                return FastCheck(None, witness=Witness(
-                    quadruple=(1, 1, i + 1, j + 1),
-                    sigma=sigma, sigma_prime=sigma_prime, sums=sums))
-    return FastCheck(sum(rows[i][i] for i in range(d)))
+    for i, j in _exchange_violations(a):
+        sigma, sigma_prime = _exchange_permutations(a.d, i, j)
+        sums = (permutation_sum(a, sigma), permutation_sum(a, sigma_prime))
+        return FastCheck(None, witness=Witness(
+            quadruple=(1, 1, i, j), sigma=sigma, sigma_prime=sigma_prime, sums=sums))
+    return FastCheck(sum(rows[i][i] for i in range(a.d)))
 
 
 def _certified_value(a: SquareMatrix) -> Scalar:

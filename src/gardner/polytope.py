@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Literal
 
 from . import linalg
-from .matrix import GMatrix, Scalar, SquareMatrix, decompose_canonical
+from .matrix import (GMatrix, Scalar, SquareMatrix, decompose_canonical,
+                     _exchange_violations)
 
 VertexKind = Literal["R", "C"]
 
@@ -121,13 +122,9 @@ def circuit_check(d: int) -> bool:
     """True iff the row indicators and the column indicators both sum to J."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    j = SquareMatrix.all_ones(d)
-    row_sum = SquareMatrix.zero(d)
-    col_sum = SquareMatrix.zero(d)
-    for i in range(1, d + 1):
-        row_sum = row_sum + vertex_matrix(row_vertex(i, d))
-        col_sum = col_sum + vertex_matrix(col_vertex(i, d))
-    return row_sum == j == col_sum
+    rows, cols = (tuple(map(sum, zip(*(_vertex_flat(Vertex(k, i, d)) for i in range(1, d + 1)))))
+                  for k in "RC")
+    return rows == (1,) * (d * d) == cols
 
 
 def affine_hull_residual(a: SquareMatrix,
@@ -140,13 +137,8 @@ def affine_hull_residual(a: SquareMatrix,
     are zero/empty exactly when A lies in the affine hull of the dilated
     polytope.
     """
-    rows = a.rows
-    d = a.d
-    sum_residual = abs(a.total() - d * dilation)
-    violations = [(1, 1, i + 1, j + 1)
-                  for i in range(1, d) for j in range(1, d)
-                  if rows[i][j] + rows[0][0] != rows[0][j] + rows[i][0]]
-    return sum_residual, violations
+    sum_residual = abs(a.total() - a.d * dilation)
+    return sum_residual, [(1, 1, i, j) for i, j in _exchange_violations(a)]
 
 
 def triangulation_cells(d: int, omitted_kind: VertexKind = "R") -> list[LatticeSimplex]:
@@ -218,21 +210,26 @@ def barycentric(g: GMatrix, cell: LatticeSimplex) -> tuple[Fraction, ...] | None
 
     Returns the unique nonnegative affine representation, or None when the
     normalized board lies outside the cell (negative coefficients or not in
-    the cell's affine span).
+    the cell's affine span). Read off the canonical labels: A is the sum of
+    lambda_j C_j and mu_i R_i, so by the circuit relation the representations
+    of A/N put (lambda_j + t)/N on C_j and (mu_i - t)/N on R_i, and every
+    vertex the cell omits must get 0: t = mu_k for R_k, -lambda_k for C_k.
     """
     if g.d != cell.d:
         raise ValueError("dimension mismatch")
     if g.value == 0:
         raise ValueError("the zero board has no normalized point")
-    verts = [_vertex_flat(v) for v in cell.vertices]
-    target = [Fraction(x) / g.value for x in g.matrix.flat()]
-    rows = [[Fraction(v[c]) for v in verts] for c in range(g.d * g.d)]
-    rows.append([Fraction(1)] * len(verts))
-    rhs = target + [Fraction(1)]
-    coeffs = linalg.solve_unique(rows, rhs)
-    if coeffs is None or any(x < 0 for x in coeffs):
+    lab = decompose_canonical(g)
+    # s = lambda_j on C_j, -mu_i on R_i; weights are +-(s + t)/N, so omitted s = -t
+    s = {v: lab.col_labels[v.index - 1] if v.kind == "C" else -lab.row_labels[v.index - 1]
+         for v in all_vertices(g.d)}
+    omitted = {s[v] for v in s.keys() - set(cell.vertices)}
+    if len(omitted) != 1:
         return None
-    return coeffs
+    s0 = omitted.pop()
+    coeffs = tuple(Fraction(s[v] - s0 if v.kind == "C" else s0 - s[v], g.value)
+                   for v in cell.vertices)
+    return None if any(x < 0 for x in coeffs) else coeffs
 
 
 def halfopen_contains(g: GMatrix, cell: HalfOpenSimplex) -> bool:

@@ -392,3 +392,17 @@ def test_interpolate_matches_formula_3_at_large_d(d):
     poly = interpolate(d)
     assert poly.degree == 2 * d - 2
     assert all(poly.evaluate(n) == g_formula_3(d, n) for n in range(4 * d))
+
+
+@pytest.mark.parametrize("d, value, budget", [(0, 3, None), (3, -1, None), (3, 100, -5)])
+def test_sweep_rejects_bad_arguments_at_the_call(d, value, budget):
+    # the iterator is never advanced: the checks run when it is made
+    with pytest.raises(ValueError):
+        iter_g_matrices_flat(d, value, budget=budget)
+
+
+def test_sweep_budget_is_enforced_at_the_call():
+    with pytest.raises(BudgetExceededError):
+        iter_g_matrices_flat(3, 100)  # 101^5 candidates > 10^8
+    with pytest.raises(BudgetExceededError):
+        iter_g_matrices_flat(2, 3, budget=4 ** 3 - 1)

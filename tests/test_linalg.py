@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -61,3 +62,58 @@ def test_det_bareiss():
 
 def test_det_bareiss_needs_pivot_swap():
     assert linalg.det_bareiss([[0, 2, 1], [1, 0, 0], [0, 0, 1]]) == -2
+
+
+def _fraction_rref(rows):
+    # reference: Gauss-Jordan over Fraction, dividing by each pivot at once
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _random_entry(rng, kind):
+    if rng.random() < 0.3:
+        return 0
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return rng.choice([0.5, -1.25, 0.1, 3.0, -2.0, 1e-3, 2.5e10])
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_rref_matches_the_fraction_reference(kind):
+    rng = random.Random(kind)
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        rows = [[_random_entry(rng, kind) for _ in range(ncols)]
+                for _ in range(rng.randint(0, 6))]
+        if rows and rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        if rows and rng.random() < 0.3:
+            rows.append([3 * x for x in rows[0]])
+        reduced, pivots = linalg.rref(rows)
+        assert (reduced, pivots) == _fraction_rref(rows)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+def test_rref_of_zero_rows_is_empty():
+    assert linalg.rref([[0, 0], [0, 0]]) == ([], [])
+    assert linalg.rref([[0.0, Fraction(0)]]) == ([], [])
+
+
+def test_integer_vector():
+    assert linalg.integer_vector([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+    assert linalg.integer_vector([0.25, 1]) == ([1, 4], 4)
+    assert linalg.integer_vector([]) == ([], 1)
