@@ -56,11 +56,11 @@ def cmd_trick(args: argparse.Namespace) -> int:
 
 
 def _load_board(path: str) -> GMatrix | None:
-    doc = BoardDocument.load(path)
-    check = is_g_matrix_fast(doc.to_matrix())
-    if not check:
+    m = BoardDocument.load(path).to_matrix()  # outside the try: parse errors exit 2
+    try:
+        return GMatrix.from_matrix(m)
+    except ValueError:
         return None
-    return GMatrix(doc.to_matrix(), check.value)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

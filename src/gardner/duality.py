@@ -29,6 +29,7 @@ properties are included.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +37,8 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .counting import iter_g_matrices_flat
-from .matrix import (FACTORIAL_GUARD, FactorialGuardError, Scalar,
-                     SquareMatrix, is_g_matrix_fast, scale, trick_generate)
+from .matrix import (FACTORIAL_GUARD, Scalar, SquareMatrix, is_g_matrix_bruteforce,
+                     is_g_matrix_fast, scale, trick_generate)
 from .polytope import all_vertices, vertex_matrix
 
 
@@ -115,31 +116,29 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
 
     (a) every vertex-vertex pairing <R_i or C_j, P_s> equals 1 exactly, over
     all d! permutations; (b) on random rational matrices, pairing to 1
-    against every P_s is equivalent to the fast value-1 G-check, and row/col
-    sums 1 + nonnegativity is equivalent to pairing to 1 against every R_i
-    and C_j; samples include true points, perturbed points, and noise.
+    against every P_s (the d!-placement rook-sum check at value 1) is
+    equivalent to the fast value-1 G-check, and row/col sums 1 + nonnegativity
+    is equivalent to pairing to 1 against every R_i and C_j; samples include
+    true points, perturbed points, noise, and mixes of d+1 permutation matrices.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if sample_count < 0:
         raise ValueError("sample_count must be >= 0")
-    if d > guard:
-        raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
     rng = random.Random(seed)
-    perm_matrices = [permutation_matrix(s) for s in permutations_of(d)]
     g_vertices = [vertex_matrix(v) for v in all_vertices(d)]
 
     vertex_pairings = 0
     for v in g_vertices:
-        for p in perm_matrices:
-            vertex_pairings += 1
-            if pairing(v, p) != 1:
-                return GalePairReport(d, vertex_pairings, 0,
-                                      f"vertex pairing <{v!r}, {p!r}> != 1")
+        vertex_pairings += math.factorial(d)
+        if is_g_matrix_bruteforce(v, guard) != 1:
+            return GalePairReport(d, vertex_pairings, 0,
+                                  f"vertex {v!r} does not pair to 1 with every P_s")
 
     def g_side_agrees(a: SquareMatrix) -> bool:
-        by_pairing = all(pairing(a, p) == 1 for p in perm_matrices)
         check = is_g_matrix_fast(a)
         by_fast = bool(check) and check.value == 1
-        return by_pairing == by_fast
+        return (is_g_matrix_bruteforce(a, guard) == 1) == by_fast
 
     def b_side_agrees(b: SquareMatrix) -> bool:
         by_pairing = b.is_nonnegative() and \
@@ -157,13 +156,13 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
         bumped_rows = [list(r) for r in point.rows]
         bumped_rows[i][j] += 1
         bumped = SquareMatrix(tuple(tuple(r) for r in bumped_rows))
-        stochastic_point = _random_convex_combination(rng, perm_matrices)
+        stochastic_point = _random_convex_combination(rng, d)
         for a in (noise, point, bumped):
             samples += 1
             if not g_side_agrees(a):
                 return GalePairReport(d, vertex_pairings, samples,
                                       f"G-side equivalence fails on {a.rows}")
-        if all(pairing(bumped, p) == 1 for p in perm_matrices):
+        if is_g_matrix_bruteforce(bumped, guard) == 1:
             return GalePairReport(d, vertex_pairings, samples,
                                   f"+1 bump left every pairing at 1: {bumped.rows}")
         for b in (noise, stochastic_point, bumped):
@@ -174,15 +173,12 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
     return GalePairReport(d, vertex_pairings, samples, None)
 
 
-def _random_convex_combination(rng: random.Random,
-                               mats: list[SquareMatrix]) -> SquareMatrix:
-    weights = [Fraction(rng.randint(0, 50), 1) for _ in mats]
-    if sum(weights) == 0:
-        weights[0] = Fraction(1)
-    total = sum(weights)
-    acc = SquareMatrix.zero(mats[0].d)
-    for w, m in zip(weights, mats):
-        acc = acc + m.scaled(w / total)
+def _random_convex_combination(rng: random.Random, d: int) -> SquareMatrix:
+    weights = [rng.randint(1, 50) for _ in range(d + 1)]
+    acc = SquareMatrix.zero(d)
+    for w in weights:
+        p = permutation_matrix(rng.sample(range(1, d + 1), d))
+        acc = acc + p.scaled(Fraction(w, sum(weights)))
     return acc
 
 

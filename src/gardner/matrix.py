@@ -9,8 +9,8 @@ The secret behind such boards: they are exactly the addition tables
 A[i, j] = mu_i + lambda_j of nonnegative row labels mu and column labels
 lambda, and then N = sum(lambda) + sum(mu). The party trick is to pick 2d
 labels summing to the requested N and write out their table. The functions
-here verify the rook-sum property (both by full permutation sweep and by an
-O(d^2) criterion), recover the labels from a board, and generate boards.
+here verify the rook-sum property (over all d! placements in d*2^d steps, and
+by an O(d^2) criterion), recover the labels from a board, and generate boards.
 
 Scalars are Python ints or ``fractions.Fraction``; all arithmetic is exact.
 Every type is an immutable value, safe to share across threads.
@@ -27,12 +27,13 @@ from typing import Iterable, Iterator, Literal, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-#: Largest side length the d!-sweep checker accepts by default (9! sums).
+#: Largest side the d!-placement rook-sum check accepts by default: an input
+#: limit, not a cost estimate (the check takes d*2^d steps).
 FACTORIAL_GUARD = 9
 
 
 class FactorialGuardError(ValueError):
-    """Raised when a d!-permutation sweep would exceed the configured guard."""
+    """Raised when a check over all d! placements would exceed the configured guard."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ class GMatrix:
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
         """Certify an arbitrary matrix, raising ValueError if it fails."""
-        return cls(m, _certified_value(m))
+        return cls(m, sum(m.rows[i][i] for i in range(m.d)))
 
     @classmethod
     def zero(cls, d: int) -> "GMatrix":
@@ -218,25 +219,27 @@ def permutation_sum(a: SquareMatrix, sigma: Sequence[int]) -> Scalar:
 
 
 def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Scalar | None:
-    """Check the rook-sum property by sweeping all d! placements.
+    """Check the rook-sum property over all d! placements, in d*2^d steps.
 
-    Returns the common value, or None if entries are negative or two
-    placements disagree. Refuses d > guard (the sweep has d! terms).
+    Row by row, keep one covered sum per set of used columns: two partial
+    placements on one set share every completion, so a set that meets two
+    sums proves two placements disagree. Returns the common value, or None
+    if entries are negative or two placements disagree. Refuses d > guard.
     """
     d = a.d
     if d > guard:
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
     if not a.is_nonnegative():
         return None
-    rows = a.rows
-    value: Scalar | None = None
-    for perm in itertools.permutations(range(d)):
-        s = sum(rows[i][perm[i]] for i in range(d))
-        if value is None:
-            value = s
-        elif s != value:
-            return None
-    return value
+    sums: dict[int, Scalar] = {0: 0}  # bitmask of used columns -> covered sum
+    for row in a.rows:
+        extended: dict[int, Scalar] = {}
+        for used, s in sums.items():
+            for j, x in enumerate(row):
+                if not used >> j & 1 and extended.setdefault(used | 1 << j, t := s + x) != t:
+                    return None
+        sums = extended
+    return sums[(1 << d) - 1]
 
 
 def _exchange_permutations(d: int, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

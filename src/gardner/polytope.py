@@ -69,10 +69,6 @@ def vertex_matrix(v: Vertex) -> SquareMatrix:
         tuple(1 if j == v.index else 0 for j in range(1, v.d + 1)) for _ in range(v.d)))
 
 
-def _vertex_flat(v: Vertex) -> tuple[int, ...]:
-    return vertex_matrix(v).flat()
-
-
 @dataclass(frozen=True)
 class LatticeSimplex:
     """An ordered set of distinct vertices, affinely independent by the
@@ -122,7 +118,8 @@ def circuit_check(d: int) -> bool:
     """True iff the row indicators and the column indicators both sum to J."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    rows, cols = (tuple(map(sum, zip(*(_vertex_flat(Vertex(k, i, d)) for i in range(1, d + 1)))))
+    rows, cols = (tuple(map(sum, zip(*(vertex_matrix(Vertex(k, i, d)).flat()
+                                       for i in range(1, d + 1)))))
                   for k in "RC")
     return rows == (1,) * (d * d) == cols
 

@@ -229,6 +229,39 @@ def test_locate_command(capsys, example_file):
     assert json.loads(out) == {"cell": 2}
 
 
+@pytest.mark.parametrize("command", ["decompose", "locate"])
+def test_board_commands_reject_bad_files(capsys, tmp_path, command):
+    path = tmp_path / "junk.txt"
+    path.write_text("x y\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == "" and "error" in err
+    code, out, err = run(capsys, command, str(tmp_path / "missing.txt"))
+    assert code == 2 and out == "" and "error" in err
+
+
+def test_locate_rejects_non_board(capsys, tmp_path):
+    path = tmp_path / "identity.txt"
+    path.write_text("1 0\n0 1\n")
+    code, out, err = run(capsys, "locate", str(path))
+    assert code == 1 and out == "" and "not a constant-rook-sum board" in err
+
+
+def test_decompose_certifies_the_board_once(capsys, monkeypatch, example_file):
+    import gardner.cli
+    import gardner.matrix
+    calls = []
+    check = gardner.matrix.is_g_matrix_fast
+
+    def counted(a):
+        calls.append(a)
+        return check(a)
+
+    monkeypatch.setattr(gardner.matrix, "is_g_matrix_fast", counted)
+    monkeypatch.setattr(gardner.cli, "is_g_matrix_fast", counted)
+    assert run(capsys, "decompose", example_file)[0] == 0
+    assert len(calls) == 1
+
+
 def test_duality_command(capsys):
     code, out, _ = run(capsys, "duality", "3", "--samples", "5")
     assert code == 0 and "passed" in out
@@ -239,6 +272,12 @@ def test_duality_command(capsys):
 def test_duality_negative_samples_is_usage_error(capsys):
     code, _, err = run(capsys, "duality", "3", "--samples", "-1")
     assert code == 2 and "sample" in err
+
+
+@pytest.mark.parametrize("args", [("0", "--samples", "0"), ("--samples", "0", "--", "-1")])
+def test_duality_d_below_one_is_usage_error(capsys, args):
+    code, out, err = run(capsys, "duality", *args)
+    assert code == 2 and "passed" not in out and "d must be >= 1" in err
 
 
 def test_cli_import_does_not_load_numpy():

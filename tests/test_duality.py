@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -88,6 +89,20 @@ def test_gale_pair_check_small():
 def test_gale_pair_check_guard():
     with pytest.raises(FactorialGuardError):
         gale_pair_check(10)
+
+
+@pytest.mark.parametrize("d", [7, 8, 9])
+def test_gale_pair_check_up_to_the_guard(d):
+    report = gale_pair_check(d, 10)
+    assert report.passed
+    assert report.vertex_pairings_checked == 2 * d * math.factorial(d)
+    assert report.samples_checked == 60
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_gale_pair_check_rejects_d_below_one(d):
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        gale_pair_check(d, 0)
 
 
 def test_bump_breaks_a_pairing():

@@ -76,6 +76,42 @@ def test_bruteforce_guard():
     assert is_g_matrix_bruteforce(SquareMatrix.zero(10), guard=10) == 0
 
 
+def rook_sum_by_definition(a: SquareMatrix):
+    # The d! definition, kept only as the reference for is_g_matrix_bruteforce.
+    if not a.is_nonnegative():
+        return None
+    first, *rest = (sum(a.rows[i][p[i]] for i in range(a.d))
+                    for p in itertools.permutations(range(a.d)))
+    return first if all(s == first for s in rest) else None
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_bruteforce_matches_the_definition(kind):
+    rng = random.Random(f"rook-sum-{kind}")
+
+    def scalar():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(0, 6)
+        return Fraction(rng.randint(0, 12), rng.randint(1, 4))
+
+    outcomes = Counter()
+    for _ in range(300):
+        d = rng.randint(1, 6)
+        rows = [list(r) for r in compose(Labeling(tuple(scalar() for _ in range(d)),
+                                                  tuple(scalar() for _ in range(d)))).matrix.rows]
+        shape = rng.choice(["board", "tampered", "noise"])
+        if shape == "tampered":
+            i, j = rng.randrange(d), rng.randrange(d)
+            rows[i][j] += rng.choice([1, -1, Fraction(1, 3)])
+        elif shape == "noise":
+            rows = [[scalar() for _ in range(d)] for _ in range(d)]
+        m = SquareMatrix(tuple(map(tuple, rows)))
+        got, want = is_g_matrix_bruteforce(m), rook_sum_by_definition(m)
+        assert (got, type(got)) == (want, type(want)), m.rows
+        outcomes[shape, got is None] += 1
+    assert outcomes["board", False] > 50 and outcomes["tampered", True] > 50
+
+
 # --------------------------------------------------------------- fast check
 
 def test_fast_on_example(example_matrix):
@@ -347,6 +383,19 @@ def test_gmatrix_constructor_validates():
     with pytest.raises(ValueError):
         GMatrix(SquareMatrix.all_ones(3), 5)  # actual value is 3
     assert GMatrix.from_matrix(SquareMatrix.all_ones(3)).value == 3
+
+
+def test_from_matrix_certifies_once(monkeypatch, example_matrix):
+    import gardner.matrix
+    calls = []
+    check = gardner.matrix.is_g_matrix_fast
+    monkeypatch.setattr(gardner.matrix, "is_g_matrix_fast", lambda a: calls.append(a) or check(a))
+    assert GMatrix.from_matrix(example_matrix).value == EXAMPLE_VALUE
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match=r"violated quadruple \(1, 1, 2, 2\)"):
+        GMatrix.from_matrix(SquareMatrix.identity(2))
+    with pytest.raises(ValueError, match=r"negative entry at \(2, 1\)"):
+        GMatrix.from_matrix(mat([[1, 2], [-1, 0]]))
 
 
 def test_square_matrix_validates():
