@@ -37,8 +37,8 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .counting import iter_g_matrices_flat
-from .matrix import (FACTORIAL_GUARD, Scalar, SquareMatrix, is_g_matrix_bruteforce,
-                     is_g_matrix_fast, scale, trick_generate)
+from .matrix import (FACTORIAL_GUARD, FactorialGuardError, Scalar, SquareMatrix,
+                     is_g_matrix_bruteforce, is_g_matrix_fast, scale, trick_generate)
 from .polytope import all_vertices, vertex_matrix
 
 
@@ -125,6 +125,8 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
         raise ValueError("d must be >= 1")
     if sample_count < 0:
         raise ValueError("sample_count must be >= 0")
+    if d > guard:  # before the 2d vertex matrices, whose size grows with d^3
+        raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
     rng = random.Random(seed)
     g_vertices = [vertex_matrix(v) for v in all_vertices(d)]
 

@@ -158,14 +158,19 @@ class GMatrix:
     value: Scalar
 
     def __post_init__(self) -> None:
-        value = _certified_value(self.matrix)
-        if value != self.value:
-            raise ValueError(f"declared value {self.value} != actual {value}")
+        check = is_g_matrix_fast(self.matrix)
+        if check.negative_entry is not None:
+            raise ValueError(f"negative entry at {check.negative_entry}")
+        if not check:
+            raise ValueError(
+                f"rook sums are not constant; violated quadruple {check.witness.quadruple}")
+        if check.value != self.value:
+            raise ValueError(f"declared value {self.value} != actual {check.value}")
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
         """Certify an arbitrary matrix, raising ValueError if it fails."""
-        return cls(m, sum(m.rows[i][i] for i in range(m.d)))
+        return cls(m, _diagonal_sum(m))
 
     @classmethod
     def zero(cls, d: int) -> "GMatrix":
@@ -236,8 +241,10 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
         extended: dict[int, Scalar] = {}
         for used, s in sums.items():
             for j, x in enumerate(row):
-                if not used >> j & 1 and extended.setdefault(used | 1 << j, t := s + x) != t:
-                    return None
+                if not used & (1 << j):  # row's rook on the free column j
+                    key, t = used | (1 << j), s + x
+                    if extended.setdefault(key, t) != t:
+                        return None
         sums = extended
     return sums[(1 << d) - 1]
 
@@ -285,18 +292,12 @@ def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
         sums = (permutation_sum(a, sigma), permutation_sum(a, sigma_prime))
         return FastCheck(None, witness=Witness(
             quadruple=(1, 1, i, j), sigma=sigma, sigma_prime=sigma_prime, sums=sums))
-    return FastCheck(sum(rows[i][i] for i in range(a.d)))
+    return FastCheck(_diagonal_sum(a))
 
 
-def _certified_value(a: SquareMatrix) -> Scalar:
-    """Rook-sum value of a G-matrix; a ValueError saying why otherwise."""
-    check = is_g_matrix_fast(a)
-    if check:
-        return check.value
-    if check.negative_entry is not None:
-        raise ValueError(f"negative entry at {check.negative_entry}")
-    raise ValueError(
-        f"rook sums are not constant; violated quadruple {check.witness.quadruple}")
+def _diagonal_sum(a: SquareMatrix) -> Scalar:
+    # The value is_g_matrix_fast certifies, which from_matrix declares up front.
+    return sum(a.rows[i][i] for i in range(a.d))
 
 
 DecompositionOrder = Literal["columns-first", "rows-first"]

@@ -247,7 +247,6 @@ def test_locate_rejects_non_board(capsys, tmp_path):
 
 
 def test_decompose_certifies_the_board_once(capsys, monkeypatch, example_file):
-    import gardner.cli
     import gardner.matrix
     calls = []
     check = gardner.matrix.is_g_matrix_fast
@@ -257,7 +256,6 @@ def test_decompose_certifies_the_board_once(capsys, monkeypatch, example_file):
         return check(a)
 
     monkeypatch.setattr(gardner.matrix, "is_g_matrix_fast", counted)
-    monkeypatch.setattr(gardner.cli, "is_g_matrix_fast", counted)
     assert run(capsys, "decompose", example_file)[0] == 0
     assert len(calls) == 1
 
@@ -272,6 +270,17 @@ def test_duality_command(capsys):
 def test_duality_negative_samples_is_usage_error(capsys):
     code, _, err = run(capsys, "duality", "3", "--samples", "-1")
     assert code == 2 and "sample" in err
+
+
+def test_duality_beyond_the_guard_exits_3(capsys, monkeypatch):
+    import gardner.duality
+
+    def refuse(d):
+        raise AssertionError(f"all_vertices({d}) built before the guard")
+
+    monkeypatch.setattr(gardner.duality, "all_vertices", refuse)
+    code, out, err = run(capsys, "duality", "100000")
+    assert code == 3 and "passed" not in out and "guard" in err
 
 
 @pytest.mark.parametrize("args", [("0", "--samples", "0"), ("--samples", "0", "--", "-1")])

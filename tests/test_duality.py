@@ -91,6 +91,18 @@ def test_gale_pair_check_guard():
         gale_pair_check(10)
 
 
+def test_gale_pair_check_guard_fires_before_building_vertices(monkeypatch):
+    # Without the guard first, d = 10**6 would try to build 2d matrices of d^2 entries.
+    import gardner.duality
+
+    def refuse(d):
+        raise AssertionError(f"all_vertices({d}) built before the guard")
+
+    monkeypatch.setattr(gardner.duality, "all_vertices", refuse)
+    with pytest.raises(FactorialGuardError, match="exceeds the d!-sweep guard 9"):
+        gale_pair_check(10 ** 6)
+
+
 @pytest.mark.parametrize("d", [7, 8, 9])
 def test_gale_pair_check_up_to_the_guard(d):
     report = gale_pair_check(d, 10)
