@@ -102,10 +102,7 @@ def _parse_entry(token) -> int:
 
 
 def format_board_text(m: SquareMatrix, header: bool = False) -> str:
-    width = max(len(str(x)) for r in m.rows for x in r)
-    lines = [str(m.d)] if header else []
-    lines += [" ".join(str(x).rjust(width) for x in row) for row in m.rows]
-    return "\n".join(lines)
+    return f"{m.d}\n{m}" if header else str(m)
 
 
 def board_json_payload(g: GMatrix, lab: Labeling) -> dict:

@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BoardParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (BoardParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceededError, FactorialGuardError) as exc:

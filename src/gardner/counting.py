@@ -65,8 +65,7 @@ def g_formula_1(d: int, value: int) -> int:
 def g_formula_2(d: int, value: int) -> int:
     """Face-count form of g_d(N)."""
     _check_dn(d, value)
-    return sum((binom(2 * d, m) - binom(d, m - d)) * binom(value - 1, m - 1)
-               for m in range(1, 2 * d))
+    return sum(f * binom(value - 1, m) for m, f in enumerate(f_star(d).entries))
 
 
 def g_formula_3(d: int, value: int) -> int:
@@ -144,31 +143,25 @@ def g_labeling_oracle(d: int, value: int) -> int:
 def simplex_count(m: int, n: int) -> int:
     """Lattice points of the n-th dilate of a unimodular simplex on m
     vertices: C(n+m-1, m-1)."""
-    _check_simplex_args(m, n)
-    return _binom_count(n + m - 1, m - 1)
+    return halfopen_simplex_count(m, 0, n)
 
 
 def open_simplex_count(m: int, n: int) -> int:
     """Interior lattice points of the n-th dilate: C(n-1, m-1)."""
-    _check_simplex_args(m, n)
-    return _binom_count(n - 1, m - 1)
+    return halfopen_simplex_count(m, m, n)
 
 
 def halfopen_simplex_count(m: int, u: int, n: int) -> int:
     """Lattice points of the n-th dilate of a half-open unimodular simplex
     with u facets removed: C(n-1+m-u, m-1). u=0 is the closed count, u=m the
     open one."""
-    _check_simplex_args(m, n)
-    if not (0 <= u <= m):
-        raise ValueError("u must satisfy 0 <= u <= m")
-    return _binom_count(n - 1 + m - u, m - 1)
-
-
-def _check_simplex_args(m: int, n: int) -> None:
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not (0 <= u <= m):
+        raise ValueError("u must satisfy 0 <= u <= m")
+    return _binom_count(n - 1 + m - u, m - 1)
 
 
 @dataclass(frozen=True)

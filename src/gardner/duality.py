@@ -93,6 +93,11 @@ def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
     return sum(x * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
 
 
+def _has_g_value_one(a: SquareMatrix) -> bool:
+    check = is_g_matrix_fast(a)
+    return bool(check) and check.value == 1
+
+
 def _bounded_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
     # Seeded rationals with denominator <= 1000.
     return Fraction(rng.randint(lo, hi), rng.randint(1, 1000))
@@ -138,9 +143,7 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
                                   f"vertex {v!r} does not pair to 1 with every P_s")
 
     def g_side_agrees(a: SquareMatrix) -> bool:
-        check = is_g_matrix_fast(a)
-        by_fast = bool(check) and check.value == 1
-        return (is_g_matrix_bruteforce(a, guard) == 1) == by_fast
+        return (is_g_matrix_bruteforce(a, guard) == 1) == _has_g_value_one(a)
 
     def b_side_agrees(b: SquareMatrix) -> bool:
         by_pairing = b.is_nonnegative() and \
@@ -414,12 +417,8 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
         if not all(x in (0, 1) for x in m.flat()):
             violations.append(f"vertex {v} is not a 0/1 point")
 
-    def has_g_value_one(m: SquareMatrix) -> bool:
-        check = is_g_matrix_fast(m)
-        return bool(check) and check.value == 1
-
     for hull, predicate, name in (
-            (gardner_hull(d), has_g_value_one, "value-1 G-check"),
+            (gardner_hull(d), _has_g_value_one, "value-1 G-check"),
             (birkhoff_hull(d), is_doubly_stochastic, "doubly stochastic check")):
         for _ in range(sample_count):
             samples += 1

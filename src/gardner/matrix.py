@@ -10,7 +10,8 @@ A[i, j] = mu_i + lambda_j of nonnegative row labels mu and column labels
 lambda, and then N = sum(lambda) + sum(mu). The party trick is to pick 2d
 labels summing to the requested N and write out their table. The functions
 here verify the rook-sum property (over all d! placements in d*2^d steps, and
-by an O(d^2) criterion), recover the labels from a board, and generate boards.
+by an O(d^2) criterion), read the labels off a certified board's first row
+and column in O(d), and generate boards.
 
 Scalars are Python ints or ``fractions.Fraction``; all arithmetic is exact.
 Every type is an immutable value, safe to share across threads.
@@ -306,22 +307,22 @@ DecompositionOrder = Literal["columns-first", "rows-first"]
 def decompose_canonical(g: GMatrix, order: DecompositionOrder = "columns-first") -> Labeling:
     """Recover the labels whose addition table is the given board.
 
-    Columns-first (the default) takes column minima as the column labels and
-    row minima of the residue as the row labels, which forces min(mu) = 0;
-    rows-first is the mirror-image variant and forces min(lambda) = 0 instead.
+    Read off the first row and column in O(d): a certified board has
+    A[i,j] = A[i,1] + A[1,j] - A[1,1], so with m the smallest entry of the
+    first column, mu_i = A[i,1] - m and lambda_j = A[1,j] - A[1,1] + m.
+    These lambda_j are the column minima and min(mu) = 0 (columns-first, the
+    default); rows-first shifts by s = min(lambda) to force min(lambda) = 0.
     """
-    rows = g.matrix.rows
-    d = g.d
-    if order == "columns-first":
-        lam = [min(rows[i][j] for i in range(d)) for j in range(d)]
-        mu = [min(rows[i][j] - lam[j] for j in range(d)) for i in range(d)]
-    elif order == "rows-first":
-        mu = [min(row) for row in rows]
-        lam = [min(rows[i][j] - mu[i] for i in range(d)) for j in range(d)]
-    else:
+    if order not in ("columns-first", "rows-first"):
         raise ValueError(f"unknown order {order!r}")
-    if any(rows[i][j] != mu[i] + lam[j] for i in range(d) for j in range(d)):
-        raise ValueError("invariant violation: board is not an addition table")
+    top = g.matrix.row(1)
+    first_col = g.matrix.col(1)
+    m = min(first_col)
+    lam = [x - top[0] + m for x in top]
+    mu = [x - m for x in first_col]
+    if order == "rows-first":
+        s = min(lam)
+        lam, mu = [x - s for x in lam], [x + s for x in mu]
     return Labeling(tuple(lam), tuple(mu))
 
 

@@ -188,18 +188,17 @@ def locate(g: GMatrix, omitted_kind: VertexKind = "R") -> int:
     """Index k of the half-open cell containing the board.
 
     For the row-omitting decomposition this is the smallest k with row label
-    mu_k = 0 in the canonical (columns-first) labeling; the column-omitting
-    variant uses the rows-first labeling and the column labels instead.
+    mu_k = 0 in the canonical (columns-first) labeling, which is the first
+    row where column 1 takes its minimum; the column-omitting variant uses
+    the rows-first column labels, so the first column where row 1 does.
     """
     if omitted_kind == "R":
-        lab = decompose_canonical(g, "columns-first")
-        labels = lab.row_labels
+        line = g.matrix.col(1)
     elif omitted_kind == "C":
-        lab = decompose_canonical(g, "rows-first")
-        labels = lab.col_labels
+        line = g.matrix.row(1)
     else:
         raise ValueError(f"omitted_kind must be 'R' or 'C', got {omitted_kind!r}")
-    return next(k for k, x in enumerate(labels, start=1) if x == 0)
+    return line.index(min(line)) + 1
 
 
 def barycentric(g: GMatrix, cell: LatticeSimplex) -> tuple[Fraction, ...] | None:

@@ -66,6 +66,20 @@ def test_verify_missing_file(capsys):
     assert code == 2
 
 
+# A PermissionError takes the same OSError path; it is not tested here
+# because a process running as root may read any file.
+@pytest.mark.parametrize("command", ["verify", "decompose", "locate"])
+@pytest.mark.parametrize("case", ["symlink-loop", "name-too-long"])
+def test_unreadable_board_file_exits_2(capsys, tmp_path, command, case):
+    if case == "symlink-loop":
+        path = tmp_path / "loop"
+        path.symlink_to(path)
+    else:
+        path = tmp_path / ("b" * 5000)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_trick_one_by_one(capsys):
     code, out, _ = run(capsys, "trick", "1", "7")
     assert code == 0 and out.strip() == "7"

@@ -226,6 +226,49 @@ def test_decompose_rejects_unknown_order(example_board):
         decompose_canonical(example_board, "diagonal-first")
 
 
+def decompose_by_minima(rows, order):
+    # The min-sweep decomposition over the whole board, kept only as the
+    # reference for decompose_canonical: column minima, then row minima of
+    # the residue (columns-first), or the mirror image (rows-first).
+    d = len(rows)
+    if order == "columns-first":
+        lam = [min(rows[i][j] for i in range(d)) for j in range(d)]
+        mu = [min(rows[i][j] - lam[j] for j in range(d)) for i in range(d)]
+    else:
+        mu = [min(row) for row in rows]
+        lam = [min(rows[i][j] - mu[i] for i in range(d)) for j in range(d)]
+    assert all(rows[i][j] == mu[i] + lam[j] for i in range(d) for j in range(d))
+    return tuple(lam), tuple(mu)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_decompose_matches_the_minima(kind):
+    rng = random.Random(f"labels-{kind}")
+
+    def scalar():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(0, 6)
+        return Fraction(rng.randint(0, 12), rng.randint(1, 4))
+
+    boards = [GMatrix.zero(1), GMatrix.zero(4), GMatrix.from_matrix(mat([[scalar()]]))]
+    for _ in range(400):
+        d = rng.randint(1, 7)
+        boards.append(compose(Labeling(tuple(scalar() for _ in range(d)),
+                                       tuple(scalar() for _ in range(d)))))
+    for g in boards:
+        for order in ("columns-first", "rows-first"):
+            lab = decompose_canonical(g, order)
+            want = decompose_by_minima(g.matrix.rows, order)
+            assert (lab.col_labels, lab.row_labels) == want, (g.matrix.rows, order)
+            if kind != "mixed":
+                assert [type(x) for x in lab.col_labels + lab.row_labels] == \
+                    [type(x) for x in want[0] + want[1]], (g.matrix.rows, order)
+        cols_first = decompose_by_minima(g.matrix.rows, "columns-first")
+        rows_first = decompose_by_minima(g.matrix.rows, "rows-first")
+        assert locate(g, "R") == cols_first[1].index(0) + 1
+        assert locate(g, "C") == rows_first[0].index(0) + 1
+
+
 def test_compose_example(example_board):
     lab = Labeling(EXAMPLE_COL_LABELS, EXAMPLE_ROW_LABELS)
     assert compose(lab) == example_board
