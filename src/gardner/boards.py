@@ -12,6 +12,8 @@ rejected. On output, big integers are always emitted as decimal strings.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 
 from .matrix import GMatrix, Labeling, SquareMatrix
@@ -51,16 +53,16 @@ class BoardDocument:
         if not lines:
             raise BoardParseError("empty board")
         try:
-            rows = [[_parse_entry(tok) for tok in line] for line in lines]
+            rows = [_parse_row(line) for line in lines]
         except ValueError as exc:
             raise BoardParseError(str(exc)) from None
         if all(len(r) == len(rows) for r in rows):
-            return cls(tuple(tuple(r) for r in rows))
+            return cls(tuple(rows))
         if len(rows[0]) == 1:
             d = rows[0][0]
             body = rows[1:]
             if len(body) == d and all(len(r) == d for r in body):
-                return cls(tuple(tuple(r) for r in body))
+                return cls(tuple(body))
         raise BoardParseError("board is not square (and no valid header found)")
 
     @classmethod
@@ -72,7 +74,7 @@ class BoardDocument:
         if not isinstance(data, dict) or "entries" not in data:
             raise BoardParseError("JSON board needs an 'entries' key")
         try:
-            rows = [[_parse_entry(x) for x in row] for row in data["entries"]]
+            rows = [_parse_row(row) for row in data["entries"]]
             d = _parse_entry(data["d"]) if "d" in data else len(rows)
             value = _parse_entry(data["value"]) if "value" in data else None
             lam = tuple(_parse_entry(x) for x in data["lambda"]) if "lambda" in data else None
@@ -83,13 +85,27 @@ class BoardDocument:
             raise BoardParseError(f"expected {d}x{d} entries")
         if d < 1:
             raise BoardParseError("d must be >= 1")
-        return cls(tuple(tuple(r) for r in rows), value=value,
-                   col_labels=lam, row_labels=mu)
+        return cls(tuple(rows), value=value, col_labels=lam, row_labels=mu)
 
     @classmethod
     def load(cls, path: str) -> "BoardDocument":
+        # A named pipe or a device could block or never end: read regular files only.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise BoardParseError(f"not a regular file: {path!r}")
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
+
+
+def _parse_row(tokens) -> tuple[int, ...]:
+    # One ASCII-digit check for the whole row when every token is a nonempty
+    # string; otherwise _parse_entry per token accepts JSON ints or words the error.
+    try:
+        digits = "".join(tokens)
+    except TypeError:
+        digits = ""
+    if digits.isascii() and digits.isdigit() and all(tokens):
+        return tuple(map(int, tokens))
+    return tuple(_parse_entry(tok) for tok in tokens)
 
 
 def _parse_entry(token) -> int:

@@ -63,9 +63,19 @@ def g_formula_1(d: int, value: int) -> int:
 
 
 def g_formula_2(d: int, value: int) -> int:
-    """Face-count form of g_d(N)."""
+    """Face-count form of g_d(N).
+
+    For N >= 1, C(N-1, m-1) = 0 once m > N, so only the first min(N, 2d-1)
+    terms are summed; N = 0 sums all 2d-1, with C(-1, m-1) = (-1)^(m-1).
+    Each binomial comes from the one before, so the sum costs O(d) steps.
+    """
     _check_dn(d, value)
-    return sum(f * binom(value - 1, m) for m, f in enumerate(f_star(d).entries))
+    terms = 2 * d - 1 if value == 0 else min(value, 2 * d - 1)
+    total, c = 0, 1  # c = C(N-1, m): C(N-1, m+1) = C(N-1, m) (N-1-m) / (m+1)
+    for m, f in zip(range(terms), _f_star_entries(d)):
+        total += f * c
+        c = c * (value - 1 - m) // (m + 1)
+    return total
 
 
 def g_formula_3(d: int, value: int) -> int:
@@ -185,8 +195,21 @@ def f_star(d: int) -> FStarVector:
     """Closed form f*_(m-1) = C(2d, m) - C(d, m-d) for m = 1..2d-1."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return FStarVector(d, tuple(binom(2 * d, m) - binom(d, m - d)
-                                for m in range(1, 2 * d)))
+    return FStarVector(d, tuple(_f_star_entries(d)))
+
+
+def _f_star_entries(d: int) -> Iterator[int]:
+    # f*_(m-1) = C(2d, m) - C(d, m-d) for m = 1..2d-1, each binomial from the
+    # one before: C(n, k) = C(n, k-1) (n-k+1) / k, where n-k+1 = 2d-m+1 for
+    # both C(2d, m) and C(d, m-d).
+    top, low = 1, 0  # C(2d, m) and C(d, m-d) at m = 0
+    for m in range(1, 2 * d):
+        top = top * (2 * d - m + 1) // m
+        if m == d:
+            low = 1
+        elif m > d:
+            low = low * (2 * d - m + 1) // (m - d)
+        yield top - low
 
 
 def f_star_by_enumeration(d: int) -> FStarVector:

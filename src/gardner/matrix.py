@@ -111,8 +111,9 @@ class SquareMatrix:
         return SquareMatrix(tuple(tuple(x * c for x in r) for r in self.rows))
 
     def __str__(self) -> str:
-        w = max(len(str(x)) for r in self.rows for x in r)
-        return "\n".join(" ".join(str(x).rjust(w) for x in r) for r in self.rows)
+        cells = [list(map(str, r)) for r in self.rows]
+        w = max(max(map(len, r)) for r in cells)
+        return "\n".join(" ".join([s.rjust(w) for s in r]) for r in cells)
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,10 @@ class GMatrix:
     """A matrix certified to have constant rook-placement sums.
 
     Construction validates the certificate, so a ``GMatrix`` instance is
-    always genuinely a G-matrix of the stated value.
+    always genuinely a G-matrix of the stated value. ``compose`` and
+    ``scale`` are certified by construction and skip the check: an addition
+    table of nonnegative labels is a G-matrix of value sum(lambda) +
+    sum(mu), and c > 0 times a G-matrix of value N is one of value c*N.
     """
 
     matrix: SquareMatrix
@@ -176,6 +180,14 @@ class GMatrix:
     @classmethod
     def zero(cls, d: int) -> "GMatrix":
         return cls(SquareMatrix.zero(d), 0)
+
+    @classmethod
+    def _certified(cls, m: SquareMatrix, value: Scalar) -> "GMatrix":
+        # For boards that are G-matrices of this value by construction only.
+        g = object.__new__(cls)
+        object.__setattr__(g, "matrix", m)
+        object.__setattr__(g, "value", value)
+        return g
 
     @property
     def d(self) -> int:
@@ -250,18 +262,20 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
     return sums[(1 << d) - 1]
 
 
-def _exchange_permutations(d: int, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _exchange_witness(a: SquareMatrix, i: int, j: int) -> Witness:
     # Two placements differing by one transposition: row 1 and row i take
     # columns {1, j} in either order, remaining rows take remaining columns
-    # in ascending order.
-    other_rows = [r for r in range(1, d + 1) if r not in (1, i)]
-    other_cols = [c for c in range(1, d + 1) if c not in (1, j)]
-    images = {1: 1, i: j}
-    images.update(zip(other_rows, other_cols))
-    sigma = tuple(images[r] for r in range(1, d + 1))
-    images[1], images[i] = j, 1
-    sigma_prime = tuple(images[r] for r in range(1, d + 1))
-    return sigma, sigma_prime
+    # in ascending order. They share the d - 2 entries off rows 1 and i, so
+    # one pass sums both.
+    rows = a.rows
+    cols = [c for c in range(2, a.d + 1) if c != j]
+    cols.insert(i - 2, j)  # the columns of rows 2..d
+    sigma = (1, *cols)
+    sigma_prime = (j, *cols[:i - 2], 1, *cols[i - 1:])
+    shared = sum(rows[r][c - 1] for r, c in enumerate(sigma) if r != 0 and r != i - 1)
+    top, ri = rows[0], rows[i - 1]
+    return Witness(quadruple=(1, 1, i, j), sigma=sigma, sigma_prime=sigma_prime,
+                   sums=(shared + top[0] + ri[j - 1], shared + top[j - 1] + ri[0]))
 
 
 def _exchange_violations(a: SquareMatrix) -> Iterator[tuple[int, int]]:
@@ -278,22 +292,24 @@ def _exchange_violations(a: SquareMatrix) -> Iterator[tuple[int, int]]:
 def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
     """O(d^2) rook-sum check.
 
-    Verifies nonnegativity and A[i,j] = A[1,j] + A[i,1] - A[1,1] for all
-    i, j >= 2 (every 2x2 exchange condition follows by transitivity). On
-    success the value is the main-diagonal sum; on failure the result
-    carries a Witness with two placements whose sums differ.
+    Verifies A[i,j] = A[1,j] + A[i,1] - A[1,1] for all i, j >= 2 (every 2x2
+    exchange condition follows by transitivity) and nonnegativity, which on
+    such a board is min(row 1) + min(column 1) - A[1,1] >= 0, read in O(d).
+    On success the value is the main-diagonal sum. On failure the result
+    carries the first negative entry in row-major order if there is one,
+    else a Witness with two placements whose sums differ.
     """
     rows = a.rows
+    top = rows[0]
+    violation = next(_exchange_violations(a), None)
+    if violation is None and min(top) + min(r[0] for r in rows) - top[0] >= 0:
+        return FastCheck(_diagonal_sum(a))
+    # With no violation the minimum is negative, so this scan returns.
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if x < 0:
                 return FastCheck(None, negative_entry=(i + 1, j + 1))
-    for i, j in _exchange_violations(a):
-        sigma, sigma_prime = _exchange_permutations(a.d, i, j)
-        sums = (permutation_sum(a, sigma), permutation_sum(a, sigma_prime))
-        return FastCheck(None, witness=Witness(
-            quadruple=(1, 1, i, j), sigma=sigma, sigma_prime=sigma_prime, sums=sums))
-    return FastCheck(_diagonal_sum(a))
+    return FastCheck(None, witness=_exchange_witness(a, *violation))
 
 
 def _diagonal_sum(a: SquareMatrix) -> Scalar:
@@ -328,8 +344,8 @@ def decompose_canonical(g: GMatrix, order: DecompositionOrder = "columns-first")
 
 def compose(lab: Labeling) -> GMatrix:
     """Addition table of the labels: A[i,j] = mu_i + lambda_j."""
-    rows = tuple(tuple(m + l for l in lab.col_labels) for m in lab.row_labels)
-    return GMatrix(SquareMatrix(rows), lab.total())
+    rows = tuple(tuple([m + l for l in lab.col_labels]) for m in lab.row_labels)
+    return GMatrix._certified(SquareMatrix(rows), lab.total())
 
 
 def _composition_from_bars(bars: Sequence[int], n: int, parts: int) -> tuple[int, ...]:
@@ -390,4 +406,4 @@ def scale(g: GMatrix, c: Scalar) -> GMatrix:
     c = Fraction(c)
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    return GMatrix(g.matrix.scaled(c), g.value * c)
+    return GMatrix._certified(g.matrix.scaled(c), g.value * c)

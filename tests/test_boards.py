@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -115,3 +116,46 @@ def test_load_from_file(tmp_path, example_board):
     path.write_text(format_board_text(example_board.matrix) + "\n")
     doc = BoardDocument.load(str(path))
     assert GMatrix.from_matrix(doc.to_matrix()).value == 57
+
+
+# Each row is checked once as a whole; a row that fails falls back to the
+# per-token check, which words the error for the first bad token.
+@pytest.mark.parametrize("token", ["²", "١", "1_0", "+1", "-1", "x"])
+def test_text_error_names_the_first_bad_token(token):
+    for text in (f"{token} 2\n3 4\n", f"1 2\n3 {token}\n", f"2\n1 2\n{token} 4\n"):
+        with pytest.raises(BoardParseError) as info:
+            BoardDocument.from_text(text)
+        assert str(info.value) == f"entry {token!r} is not a nonnegative decimal integer"
+
+
+def test_text_error_in_a_row_keeps_token_order():
+    with pytest.raises(BoardParseError) as info:
+        BoardDocument.from_text("1 2 3\n4 +5 -6\n7 8 9\n")
+    assert str(info.value) == "entry '+5' is not a nonnegative decimal integer"
+
+
+@pytest.mark.parametrize("token, shown", [
+    ("1.5", "1.5"), ("true", "True"), ('""', "''"), ('"\\u00b2"', "'²'"),
+    ('"\\u0661"', "'١'"), ('"1_0"', "'1_0'"), ('"+1"', "'+1'"), ('"-1"', "'-1'"),
+    ("-1", "-1"), ("null", "None"),
+])
+def test_json_error_names_the_first_bad_token(token, shown):
+    for entries in (f'[[{token}, "2"], ["3", "4"]]', f'[["1", "2"], ["3", {token}]]',
+                    f'[[1, 2], [3, {token}]]'):
+        with pytest.raises(BoardParseError) as info:
+            BoardDocument.from_text(f'{{"d": 2, "entries": {entries}}}')
+        assert str(info.value) == f"entry {shown} is not a nonnegative decimal integer"
+
+
+def test_json_rows_of_strings_and_ints_parse_alike():
+    want = ((1, 20), (300, 0))
+    for entries in ('[["1", "20"], ["300", "0"]]', '[[1, 20], [300, 0]]',
+                    '[["1", 20], [300, "0"]]'):
+        doc = BoardDocument.from_text(f'{{"d": 2, "entries": {entries}}}')
+        assert doc.entries == want and all(type(x) is int for r in doc.entries for x in r)
+
+
+def test_fraction_board_text_is_unchanged():
+    m = SquareMatrix(((Fraction(1, 2), 3), (10, Fraction(-7, 3))))
+    assert str(m) == " 1/2    3\n  10 -7/3"
+    assert format_board_text(m, header=True) == "2\n 1/2    3\n  10 -7/3"

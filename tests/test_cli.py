@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +80,33 @@ def test_unreadable_board_file_exits_2(capsys, tmp_path, command, case):
         path = tmp_path / ("b" * 5000)
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def _verify_process(path):
+    # A board file that blocks or never ends must fail fast, not hang the
+    # suite or read /dev/zero into all of memory.
+    src = Path(gardner.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "gardner.cli", "verify", str(path)],
+                          capture_output=True, text=True, cwd=src, timeout=10,
+                          preexec_fn=_cap_memory)
+
+
+def test_verify_named_pipe_exits_2(tmp_path):
+    fifo = tmp_path / "board.fifo"
+    os.mkfifo(fifo)
+    result = _verify_process(fifo)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: not a regular file: {str(fifo)!r}\n"
+
+
+def test_verify_device_exits_2():
+    result = _verify_process("/dev/zero")
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: not a regular file: '/dev/zero'\n"
 
 
 def test_trick_one_by_one(capsys):

@@ -101,6 +101,13 @@ def test_three_way_agreement():
             assert a == g_formula_2(d, n) == g_formula_3(d, n)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 50, 6000])
+def test_formula_2_sums_only_the_nonzero_terms(d):
+    # N = 0 keeps all 2d-1 terms; from N = 1 on, only min(N, 2d-1) count.
+    for n in (0, 1, 2, 10):
+        assert g_formula_2(d, n) == g_formula_3(d, n)
+
+
 def test_formula_validation():
     for f in (g_formula_1, g_formula_2, g_formula_3):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import EXAMPLE_COL_LABELS, EXAMPLE_ROW_LABELS, EXAMPLE_VALUE
 from gardner.counting import g_formula_3, halfopen_simplex_count, iter_g_matrices_flat
-from gardner.matrix import (FactorialGuardError, GMatrix, Labeling,
-                            SquareMatrix, compose, decompose_canonical,
+from gardner.matrix import (FactorialGuardError, FastCheck, GMatrix, Labeling,
+                            SquareMatrix, Witness, compose, decompose_canonical,
                             is_g_matrix_bruteforce, is_g_matrix_fast,
                             permutation_sum, scale, trick_generate)
 from gardner.polytope import locate
@@ -182,6 +182,93 @@ def test_witness_placements_disagree():
         assert (permutation_sum(m, w.sigma), permutation_sum(m, w.sigma_prime)) == w.sums
         i, j, k, l = w.quadruple
         assert m.entry(i, j) + m.entry(k, l) != m.entry(i, l) + m.entry(k, j)
+
+
+def exchange_violations(a: SquareMatrix) -> list[tuple[int, int]]:
+    return [(i, j) for i, j in itertools.product(range(2, a.d + 1), repeat=2)
+            if a.entry(i, j) - a.entry(1, j) != a.entry(i, 1) - a.entry(1, 1)]
+
+
+def fast_check_reference(a: SquareMatrix) -> FastCheck:
+    # The row-major negative scan, then the exchange loop, with the witness
+    # sums from the validating permutation_sum: kept only as the reference.
+    for i, row in enumerate(a.rows):
+        for j, x in enumerate(row):
+            if x < 0:
+                return FastCheck(None, negative_entry=(i + 1, j + 1))
+    d, violations = a.d, exchange_violations(a)
+    if violations:
+        i, j = violations[0]
+        images = dict(zip([r for r in range(2, d + 1) if r != i],
+                          [c for c in range(2, d + 1) if c != j]))
+        images[1], images[i] = 1, j
+        sigma = tuple(images[r] for r in range(1, d + 1))
+        images[1], images[i] = j, 1
+        sigma_prime = tuple(images[r] for r in range(1, d + 1))
+        sums = (permutation_sum(a, sigma), permutation_sum(a, sigma_prime))
+        return FastCheck(None, witness=Witness((1, 1, i, j), sigma, sigma_prime, sums))
+    return FastCheck(sum(a.rows[i][i] for i in range(d)))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_fast_check_matches_the_reference(kind):
+    # Boards, boards shifted below zero, and tampered boards: negative_entry
+    # wins over a witness and names the first negative entry in row-major order.
+    rng = random.Random(f"fast-check-{kind}")
+
+    def scalar():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(0, 6)
+        return Fraction(rng.randint(0, 12), rng.randint(1, 4))
+
+    outcomes = Counter()
+    for _ in range(1500):
+        d = rng.randint(1, 7)
+        rows = [list(r) for r in compose(Labeling(tuple(scalar() for _ in range(d)),
+                                                  tuple(scalar() for _ in range(d)))).matrix.rows]
+        if rng.random() < 0.5:
+            shift = rng.choice([1, 3, Fraction(5, 2)])
+            rows = [[x - shift for x in r] for r in rows]
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            i, j = rng.randrange(d), rng.randrange(d)
+            rows[i][j] += rng.choice([1, -1, -7, Fraction(1, 3)])
+        m = SquareMatrix(tuple(map(tuple, rows)))
+        got, want = is_g_matrix_fast(m), fast_check_reference(m)
+        assert got == want, m.rows
+        assert type(got.value) is type(want.value)
+        if got.witness is not None:
+            assert list(map(type, got.witness.sums)) == list(map(type, want.witness.sums))
+        outcomes[bool(got), got.negative_entry is not None, got.witness is not None] += 1
+        outcomes["negative and violated"] += bool(got.negative_entry and exchange_violations(m))
+    assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes
+
+
+def test_negative_entry_wins_over_a_violated_exchange():
+    # (1, 3) is the first negative entry; the board also violates (2, 2).
+    m = mat([[0, 5, -1], [1, 0, 2], [-4, 3, 1]])
+    assert (2, 2) in exchange_violations(m)
+    assert is_g_matrix_fast(m) == fast_check_reference(m) == FastCheck(None, negative_entry=(1, 3))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_compose_and_scale_are_certified_by_construction(kind):
+    # compose and scale build their GMatrix with no check; the check agrees.
+    rng = random.Random(f"certified-{kind}")
+
+    def label():
+        n = rng.randint(0, 10 ** rng.randint(1, 6))
+        return n if kind == "int" else Fraction(n, rng.randint(1, 9))
+
+    for _ in range(400):
+        d = rng.randint(1, 9)
+        g = compose(Labeling(tuple(label() for _ in range(d)), tuple(label() for _ in range(d))))
+        check = is_g_matrix_fast(g.matrix)
+        assert check and check.value == g.value
+        c = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+        s = scale(g, c)
+        check = is_g_matrix_fast(s.matrix)
+        assert check and check.value == s.value == c * g.value
+        assert GMatrix(s.matrix, s.value) == s and GMatrix.from_matrix(g.matrix).value == g.value
 
 
 def test_value_zero_forces_zero_matrix():
