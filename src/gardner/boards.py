@@ -69,7 +69,7 @@ class BoardDocument:
     def from_json(cls, text: str) -> "BoardDocument":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise BoardParseError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict) or "entries" not in data:
             raise BoardParseError("JSON board needs an 'entries' key")
@@ -135,19 +135,13 @@ def board_json_payload(g: GMatrix, lab: Labeling) -> dict:
 def format_addition_table(g: GMatrix, lab: Labeling) -> str:
     """Label table: column labels across the top, row labels down the side,
     the board as the body of the table."""
-    header_cells = [str(x) for x in lab.col_labels]
-    left_cells = ["+"] + [str(x) for x in lab.row_labels]
-    body = [[str(x) for x in row] for row in g.matrix.rows]
-    left_w = max(len(s) for s in left_cells)
-    col_w = [max(len(header_cells[j]), max(len(body[i][j]) for i in range(g.d)))
-             for j in range(g.d)]
+    table = [["+", *map(str, lab.col_labels)]]
+    table += [[str(mu), *map(str, row)] for mu, row in zip(lab.row_labels, g.matrix.rows)]
+    left_w, *col_w = (max(map(len, column)) for column in zip(*table))
 
-    def fmt_row(left: str, cells: list[str]) -> str:
-        return left.rjust(left_w) + " | " + \
-            " ".join(c.rjust(w) for c, w in zip(cells, col_w))
+    def fmt_row(cells: list[str]) -> str:
+        return cells[0].rjust(left_w) + " | " + \
+            " ".join(c.rjust(w) for c, w in zip(cells[1:], col_w))
 
-    lines = [fmt_row("+", header_cells)]
-    lines.append("-" * left_w + "-+-" + "-".join("-" * w for w in col_w))
-    for mu, row in zip(lab.row_labels, body):
-        lines.append(fmt_row(str(mu), row))
-    return "\n".join(lines)
+    rule = "-" * left_w + "-+-" + "-".join("-" * w for w in col_w)
+    return "\n".join([fmt_row(table[0]), rule, *map(fmt_row, table[1:])])

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse
 error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment
 variable overrides the default brute-force candidate ceiling; the sweep counts
 its first-row and first-column candidates, (N+1)^(2d-1). A budget that is not
-a nonnegative integer exits 2.
+a nonnegative integer exits 2. Values are printed exactly, whatever their size.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import random
 import sys
 
 from . import counting, duality
-from .boards import (BoardDocument, BoardParseError, board_json_payload,
-                     format_addition_table, format_board_text)
+from .boards import (BoardDocument, board_json_payload, format_addition_table,
+                     format_board_text)
 from .counting import BudgetExceededError
 from .matrix import (FactorialGuardError, GMatrix, decompose_canonical,
                      is_g_matrix_fast, trick_generate)
@@ -60,6 +60,7 @@ def _load_board(path: str) -> GMatrix | None:
     try:
         return GMatrix.from_matrix(m)
     except ValueError:
+        print("not a constant-rook-sum board", file=sys.stderr)
         return None
 
 
@@ -70,36 +71,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit({"value": str(check.value)}, args.json, f"value {check.value}")
         return EXIT_OK
     w = check.witness
-    if args.json:
-        print(json.dumps({"witness": {
-            "quadruple": list(w.quadruple),
-            "sigma": list(w.sigma), "sigma_prime": list(w.sigma_prime),
-            "sums": [str(s) for s in w.sums]}}))
-    else:
-        print("not a constant-rook-sum board:")
-        print(f"  placement {w.sigma} covers {w.sums[0]}")
-        print(f"  placement {w.sigma_prime} covers {w.sums[1]}")
+    _emit({"witness": {"quadruple": list(w.quadruple),
+                       "sigma": list(w.sigma), "sigma_prime": list(w.sigma_prime),
+                       "sums": [str(s) for s in w.sums]}}, args.json,
+          f"not a constant-rook-sum board:\n  placement {w.sigma} covers {w.sums[0]}\n"
+          f"  placement {w.sigma_prime} covers {w.sums[1]}")
     return EXIT_CHECK_FAILED
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    formulas = {"1": counting.g_formula_1, "2": counting.g_formula_2,
-                "3": counting.g_formula_3}
     which = ["1", "2", "3"] if args.formula == "all" else [args.formula]
-    values = {k: formulas[k](args.d, args.value) for k in which}
-    oracle = None
-    if args.oracle:
-        oracle = counting.g_bruteforce(args.d, args.value, _budget_from_env())
-    lines = ", ".join(str(values[k]) for k in which)
-    if oracle is not None:
-        lines += f"\noracle: {oracle}"
+    values = {k: getattr(counting, f"g_formula_{k}")(args.d, args.value) for k in which}
+    text = ", ".join(str(values[k]) for k in which)
     payload = {"d": args.d, "N": args.value,
-               "formulas": {k: str(v) for k, v in values.items()}}
-    if oracle is not None:
-        payload["oracle"] = str(oracle)
-    _emit(payload, args.json, lines)
-    distinct = set(values.values()) | ({oracle} if oracle is not None else set())
-    return EXIT_OK if len(distinct) == 1 else EXIT_CHECK_FAILED
+               "formulas": {k: str(values[k]) for k in which}}
+    if args.oracle:
+        values["oracle"] = counting.g_bruteforce(args.d, args.value, _budget_from_env())
+        text += f"\noracle: {values['oracle']}"
+        payload["oracle"] = str(values["oracle"])
+    _emit(payload, args.json, text)
+    return EXIT_OK if len(set(values.values())) == 1 else EXIT_CHECK_FAILED
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
@@ -110,22 +101,19 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     report = counting.roots_check(args.d, args.tol)
-    if args.json:
-        print(json.dumps({
-            "d": report.d, "tolerance": report.tolerance,
-            "roots": [[r.real, r.imag] for r in report.roots],
-            "labels": list(report.labels), "passed": report.passed}))
-    else:
-        for r, label in zip(report.roots, report.labels):
-            print(f"{r.real:+.9f} {r.imag:+.9f}i  {label}")
-        print("all roots classified" if report.passed else "UNCLASSIFIED ROOTS")
+    lines = [f"{r.real:+.9f} {r.imag:+.9f}i  {label}"
+             for r, label in zip(report.roots, report.labels)]
+    lines.append("all roots classified" if report.passed else "UNCLASSIFIED ROOTS")
+    _emit({"d": report.d, "tolerance": report.tolerance,
+           "roots": [[r.real, r.imag] for r in report.roots],
+           "labels": list(report.labels), "passed": report.passed},
+          args.json, "\n".join(lines))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _load_board(args.file)
     if g is None:
-        print("not a constant-rook-sum board", file=sys.stderr)
         return EXIT_CHECK_FAILED
     lab = decompose_canonical(g)
     if args.json:
@@ -138,7 +126,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_locate(args: argparse.Namespace) -> int:
     g = _load_board(args.file)
     if g is None:
-        print("not a constant-rook-sum board", file=sys.stderr)
         return EXIT_CHECK_FAILED
     k = locate(g)
     _emit({"cell": k}, args.json, str(k))
@@ -148,17 +135,14 @@ def cmd_locate(args: argparse.Namespace) -> int:
 def cmd_duality(args: argparse.Namespace) -> int:
     print(f"seed: {args.seed}", file=sys.stderr)
     report = duality.gale_pair_check(args.d, args.samples, args.seed)
-    if args.json:
-        print(json.dumps({
-            "d": report.d,
-            "vertex_pairings": report.vertex_pairings_checked,
-            "samples": report.samples_checked,
-            "passed": report.passed,
-            "counterexample": report.counterexample}))
-    else:
-        print(f"vertex pairings checked: {report.vertex_pairings_checked}")
-        print(f"sample equivalences checked: {report.samples_checked}")
-        print("passed" if report.passed else f"FAILED: {report.counterexample}")
+    _emit({"d": report.d,
+           "vertex_pairings": report.vertex_pairings_checked,
+           "samples": report.samples_checked,
+           "passed": report.passed,
+           "counterexample": report.counterexample}, args.json,
+          f"vertex pairings checked: {report.vertex_pairings_checked}\n"
+          f"sample equivalences checked: {report.samples_checked}\n"
+          + ("passed" if report.passed else f"FAILED: {report.counterexample}"))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -176,12 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--labels", action="store_true",
                    help="also print the label table")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_trick)
 
     p = sub.add_parser("verify", help="check a board file")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="count boards of side d and value N")
@@ -190,37 +172,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", choices=["1", "2", "3", "all"], default="all")
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force sweep")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("poly", help="exact counting polynomial for side d")
     p.add_argument("d", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("roots", help="locate and classify the polynomial roots")
     p.add_argument("d", type=int)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("decompose", help="print a board's label table")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("locate", help="half-open triangulation cell of a board")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("duality", help="run the Gale-duality checks")
     p.add_argument("d", type=int)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_duality)
 
+    for p in sub.choices.values():  # last, so every usage line ends in [--json]
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -230,17 +208,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact results of any size print; board-file tokens keep the digit limit.
+    limit = sys.get_int_max_str_digits()
+    if not hasattr(args, "file"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (BoardParseError, OSError) as exc:
+    except (BudgetExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (BudgetExceededError, FactorialGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        budget = isinstance(exc, (BudgetExceededError, FactorialGuardError))
+        return EXIT_BUDGET if budget else EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

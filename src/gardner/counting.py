@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .matrix import Scalar, _composition_from_bars
+from .matrix import Scalar, _check_d_value, _composition_from_bars
 
 #: Default ceiling on brute-force candidate counts.
 DEFAULT_BUDGET = 10 ** 8
@@ -48,18 +48,20 @@ def binom(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
-def _binom_count(n: int, k: int) -> int:
-    # Plain counting convention: zero outside 0 <= k <= n. The simplex
-    # counters must use this (a lattice-point count is never negative),
-    # unlike formula (2) which needs the polynomial extension at N = 0.
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
 def g_formula_1(d: int, value: int) -> int:
-    """Inclusion-exclusion form of g_d(N)."""
-    _check_dn(d, value)
-    return sum((-1) ** (k - 1) * binom(d, k) * binom(value + 2 * d - k - 1, 2 * d - k - 1)
-               for k in range(1, d + 1))
+    """Inclusion-exclusion form of g_d(N).
+
+    Each binomial comes from the one before, C(d, k+1) = C(d, k) (d-k)/(k+1)
+    and C(n-1, r-1) = C(n, r) r/n, so the sum costs O(d) steps.
+    """
+    _check_d_value(d, value)
+    n, r = value + 2 * d - 2, 2 * d - 2
+    total, a, b = 0, d, math.comb(n, r)  # a = C(d, k), b = C(n, r) with r = 2d-k-1
+    for k in range(1, d + 1):
+        total += (-1) ** (k - 1) * a * b
+        if k < d:  # n >= value + d >= 1
+            a, b, n, r = a * (d - k) // (k + 1), b * r // n, n - 1, r - 1
+    return total
 
 
 def g_formula_2(d: int, value: int) -> int:
@@ -69,7 +71,7 @@ def g_formula_2(d: int, value: int) -> int:
     terms are summed; N = 0 sums all 2d-1, with C(-1, m-1) = (-1)^(m-1).
     Each binomial comes from the one before, so the sum costs O(d) steps.
     """
-    _check_dn(d, value)
+    _check_d_value(d, value)
     terms = 2 * d - 1 if value == 0 else min(value, 2 * d - 1)
     total, c = 0, 1  # c = C(N-1, m): C(N-1, m+1) = C(N-1, m) (N-1-m) / (m+1)
     for m, f in zip(range(terms), _f_star_entries(d)):
@@ -80,21 +82,8 @@ def g_formula_2(d: int, value: int) -> int:
 
 def g_formula_3(d: int, value: int) -> int:
     """Half-open form of g_d(N): C(N+2d-1, 2d-1) - C(N+d-1, 2d-1)."""
-    _check_dn(d, value)
+    _check_d_value(d, value)
     return binom(value + 2 * d - 1, 2 * d - 1) - binom(value + d - 1, 2 * d - 1)
-
-
-def _check_dn(d: int, value: int) -> None:
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if value < 0:
-        raise ValueError("value must be >= 0")
-
-
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return DEFAULT_BUDGET if budget is None else budget
 
 
 def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
@@ -108,10 +97,12 @@ def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
     lexicographic order; min_entry=1 gives the interior lattice points.
     Raises BudgetExceededError at the call if the sweep is too large.
     """
-    _check_dn(d, value)
+    _check_d_value(d, value)
     entry_range = range(min_entry, value + 1)
     candidates = len(entry_range) ** (2 * d - 1)
-    limit = _resolve_budget(budget)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    limit = DEFAULT_BUDGET if budget is None else budget
     if candidates > limit:
         raise BudgetExceededError(
             f"{candidates} candidates exceed the budget {limit}")
@@ -146,7 +137,7 @@ def g_labeling_oracle(d: int, value: int) -> int:
     and keeps those whose row labels contain a zero; the label-table
     bijection makes this equal g_d(N) without ever building a matrix.
     """
-    _check_dn(d, value)
+    _check_d_value(d, value)
     return sum(1 for comp in iter_compositions(value, 2 * d) if min(comp[d:]) == 0)
 
 
@@ -171,7 +162,9 @@ def halfopen_simplex_count(m: int, u: int, n: int) -> int:
         raise ValueError("n must be >= 0")
     if not (0 <= u <= m):
         raise ValueError("u must satisfy 0 <= u <= m")
-    return _binom_count(n - 1 + m - u, m - 1)
+    # Zero when n < u, where C(n-1+m-u, m-1) has n-1+m-u < m-1: a count is
+    # never negative, unlike formula (2), which needs binom's extension at N = 0.
+    return math.comb(n - 1 + m - u, m - 1) if n >= u else 0
 
 
 @dataclass(frozen=True)
@@ -193,8 +186,7 @@ class FStarVector:
 
 def f_star(d: int) -> FStarVector:
     """Closed form f*_(m-1) = C(2d, m) - C(d, m-d) for m = 1..2d-1."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_d_value(d)
     return FStarVector(d, tuple(_f_star_entries(d)))
 
 
@@ -216,17 +208,11 @@ def f_star_by_enumeration(d: int) -> FStarVector:
     """Independent oracle for f_star: enumerate the vertex subsets (I, J)
     that span a cell of the triangulation (I a proper subset of the row
     indices) and group them by size."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_d_value(d)
     counts = [0] * (2 * d - 1)
-    indices = list(range(d))
-    row_subsets = [s for r in range(d + 1) for s in itertools.combinations(indices, r)]
-    col_subsets = row_subsets
-    full = tuple(indices)
-    for rows_ in row_subsets:
-        if rows_ == full:
-            continue
-        for cols in col_subsets:
+    subsets = [s for r in range(d + 1) for s in itertools.combinations(range(d), r)]
+    for rows_ in subsets[:-1]:  # the last subset is all d indices
+        for cols in subsets:
             m = len(rows_) + len(cols)
             if m >= 1:
                 counts[m - 1] += 1
@@ -305,8 +291,7 @@ def _times_rising(poly: list[int], start: int, count: int) -> list[int]:
 def interpolate(d: int) -> CountingPolynomial:
     """Exact coefficients of g_d, expanded over the integers from the product
     form (2d-1)! g_d(N) = (N+1)...(N+d-1) [(N+d)...(N+2d-1) - (N-d+1)...N]."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_d_value(d)
     upper, lower = _times_rising([1], d, d), _times_rising([1], 1 - d, d)
     bracket = [a - b for a, b in zip(upper[:-1], lower[:-1])]
     scale = math.factorial(2 * d - 1)

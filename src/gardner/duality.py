@@ -38,7 +38,8 @@ from typing import Iterator, Sequence
 from . import linalg
 from .counting import iter_g_matrices_flat
 from .matrix import (FACTORIAL_GUARD, FactorialGuardError, Scalar, SquareMatrix,
-                     is_g_matrix_bruteforce, is_g_matrix_fast, scale, trick_generate)
+                     _check_d_value, is_g_matrix_bruteforce, is_g_matrix_fast, scale,
+                     trick_generate)
 from .polytope import all_vertices, vertex_matrix
 
 
@@ -79,11 +80,8 @@ def permutation_matrix(sigma: Permutation | Sequence[int]) -> SquareMatrix:
 
 def is_doubly_stochastic(b: SquareMatrix) -> bool:
     """Nonnegative with every row and column summing to exactly 1."""
-    if not b.is_nonnegative():
-        return False
-    d = b.d
-    return all(sum(b.row(i)) == 1 for i in range(1, d + 1)) and \
-        all(sum(b.col(j)) == 1 for j in range(1, d + 1))
+    rows = b.rows
+    return b.is_nonnegative() and all(sum(line) == 1 for line in (*rows, *zip(*rows)))
 
 
 def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
@@ -126,8 +124,7 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
     is equivalent to pairing to 1 against every R_i and C_j; samples include
     true points, perturbed points, noise, and mixes of d+1 permutation matrices.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_d_value(d)
     if sample_count < 0:
         raise ValueError("sample_count must be >= 0")
     if d > guard:  # before the 2d vertex matrices, whose size grows with d^3

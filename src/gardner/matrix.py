@@ -102,10 +102,7 @@ class SquareMatrix:
                                   for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        return SquareMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                                  for ra, rb in zip(self.rows, other.rows)))
+        return self + other.scaled(-1)
 
     def scaled(self, c: Scalar) -> "SquareMatrix":
         return SquareMatrix(tuple(tuple(x * c for x in r) for r in self.rows))
@@ -223,16 +220,20 @@ class Labeling:
         return sum(self.col_labels) + sum(self.row_labels)
 
 
-def _validate_permutation(sigma: Sequence[int], d: int) -> None:
-    if len(sigma) != d:
-        raise ValueError(f"permutation length {len(sigma)} != matrix side {d}")
-    if sorted(sigma) != list(range(1, d + 1)):
-        raise ValueError("not a bijection on 1..d")
+def _check_d_value(d: int, value: int = 0) -> None:
+    # The one input rule of every function taking a side d and a value N.
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if value < 0:
+        raise ValueError("value must be >= 0")
 
 
 def permutation_sum(a: SquareMatrix, sigma: Sequence[int]) -> Scalar:
     """Sum of the entries covered by the rook placement sigma (1-based images)."""
-    _validate_permutation(sigma, a.d)
+    if len(sigma) != a.d:
+        raise ValueError(f"permutation length {len(sigma)} != matrix side {a.d}")
+    if sorted(sigma) != list(range(1, a.d + 1)):
+        raise ValueError("not a bijection on 1..d")
     return sum(a.rows[i][sigma[i] - 1] for i in range(a.d))
 
 
@@ -380,10 +381,7 @@ def trick_generate(d: int, value: int, mode: Literal["uniform", "quick"] = "unif
     k by cell size, draw that composition, set mu_k = 0 and add the 1s
     back. Deterministic per seed; mode="quick" is kept as an alias.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if value < 0:
-        raise ValueError("value must be >= 0")
+    _check_d_value(d, value)
     if mode not in ("uniform", "quick"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)

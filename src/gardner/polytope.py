@@ -23,7 +23,7 @@ from typing import Literal
 
 from . import linalg
 from .matrix import (GMatrix, Scalar, SquareMatrix, decompose_canonical,
-                     _exchange_violations)
+                     _check_d_value, _exchange_violations)
 
 VertexKind = Literal["R", "C"]
 
@@ -56,8 +56,7 @@ def col_vertex(j: int, d: int) -> Vertex:
 
 def all_vertices(d: int) -> tuple[Vertex, ...]:
     """C_1..C_d then R_1..R_d."""
-    return tuple(col_vertex(j, d) for j in range(1, d + 1)) + \
-        tuple(row_vertex(i, d) for i in range(1, d + 1))
+    return tuple(Vertex(kind, i, d) for kind in "CR" for i in range(1, d + 1))
 
 
 def vertex_matrix(v: Vertex) -> SquareMatrix:
@@ -116,8 +115,7 @@ class HalfOpenSimplex:
 
 def circuit_check(d: int) -> bool:
     """True iff the row indicators and the column indicators both sum to J."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_d_value(d)
     rows, cols = (tuple(map(sum, zip(*(vertex_matrix(Vertex(k, i, d)).flat()
                                        for i in range(1, d + 1)))))
                   for k in "RC")
@@ -145,20 +143,10 @@ def triangulation_cells(d: int, omitted_kind: VertexKind = "R") -> list[LatticeS
     only two triangulations using no new vertices; cell k omits R_k (resp.
     C_k) and has 2d - 1 vertices.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    cells = []
-    for k in range(1, d + 1):
-        if omitted_kind == "R":
-            verts = [col_vertex(j, d) for j in range(1, d + 1)]
-            verts += [row_vertex(i, d) for i in range(1, d + 1) if i != k]
-        elif omitted_kind == "C":
-            verts = [col_vertex(j, d) for j in range(1, d + 1) if j != k]
-            verts += [row_vertex(i, d) for i in range(1, d + 1)]
-        else:
-            raise ValueError(f"omitted_kind must be 'R' or 'C', got {omitted_kind!r}")
-        cells.append(LatticeSimplex(tuple(verts)))
-    return cells
+    _check_d_value(d)
+    if omitted_kind not in ("R", "C"):
+        raise ValueError(f"omitted_kind must be 'R' or 'C', got {omitted_kind!r}")
+    return [_cell(d, omitted_kind, (k,)) for k in range(1, d + 1)]
 
 
 def cell_intersection(i: int, j: int, d: int) -> LatticeSimplex:
@@ -168,9 +156,13 @@ def cell_intersection(i: int, j: int, d: int) -> LatticeSimplex:
         raise ValueError("cell indices must differ")
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError("cell index out of range")
-    verts = [col_vertex(c, d) for c in range(1, d + 1)]
-    verts += [row_vertex(r, d) for r in range(1, d + 1) if r not in (i, j)]
-    return LatticeSimplex(tuple(verts))
+    return _cell(d, "R", (i, j))
+
+
+def _cell(d: int, kind: VertexKind, omitted: tuple[int, ...]) -> LatticeSimplex:
+    # All vertices except the omitted ones of one kind, C_1..C_d then R_1..R_d.
+    return LatticeSimplex(tuple(Vertex(k, i, d) for k in "CR" for i in range(1, d + 1)
+                                if k != kind or i not in omitted))
 
 
 def halfopen_cells(d: int) -> list[HalfOpenSimplex]:
@@ -192,12 +184,9 @@ def locate(g: GMatrix, omitted_kind: VertexKind = "R") -> int:
     row where column 1 takes its minimum; the column-omitting variant uses
     the rows-first column labels, so the first column where row 1 does.
     """
-    if omitted_kind == "R":
-        line = g.matrix.col(1)
-    elif omitted_kind == "C":
-        line = g.matrix.row(1)
-    else:
+    if omitted_kind not in ("R", "C"):
         raise ValueError(f"omitted_kind must be 'R' or 'C', got {omitted_kind!r}")
+    line = g.matrix.col(1) if omitted_kind == "R" else g.matrix.row(1)
     return line.index(min(line)) + 1
 
 

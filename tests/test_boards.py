@@ -7,7 +7,8 @@ from conftest import EXAMPLE_COL_LABELS, EXAMPLE_ROW_LABELS, EXAMPLE_ROWS
 from gardner.boards import (BoardDocument, BoardParseError,
                             board_json_payload, format_addition_table,
                             format_board_text)
-from gardner.matrix import GMatrix, SquareMatrix, decompose_canonical
+from gardner.matrix import (GMatrix, Labeling, SquareMatrix, compose,
+                            decompose_canonical)
 
 
 def test_parse_plain_text():
@@ -109,6 +110,18 @@ def test_addition_table_contains_all_numbers(example_board):
         left, right = line.split("|")
         assert int(left) == mu
         assert [int(t) for t in right.split()] == list(row)
+
+
+def test_addition_table_exact_layout():
+    # Column 1's label is wider than its entries, column 2's entries are wider
+    # than its label, and a row label is the widest cell of the table.
+    lab = Labeling((Fraction(1, 7), 0, 1), (Fraction(6, 7), Fraction(13, 7), Fraction(104, 7)))
+    assert format_addition_table(compose(lab), lab) == (
+        "    + | 1/7     0     1\n"
+        "------+----------------\n"
+        "  6/7 |   1   6/7  13/7\n"
+        " 13/7 |   2  13/7  20/7\n"
+        "104/7 |  15 104/7 111/7")
 
 
 def test_load_from_file(tmp_path, example_board):

@@ -11,6 +11,7 @@ from conftest import EXAMPLE_ROWS
 import gardner
 from gardner.boards import format_board_text
 from gardner.cli import main
+from gardner.counting import g_formula_3
 from gardner.matrix import SquareMatrix
 
 
@@ -107,6 +108,22 @@ def test_verify_device_exits_2():
     result = _verify_process("/dev/zero")
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == "error: not a regular file: '/dev/zero'\n"
+
+
+def test_verify_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"entries": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and err.startswith("error: invalid JSON: ")
+
+
+def test_board_token_over_the_digit_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("9" * 5000 + "\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and "digits" in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_trick_one_by_one(capsys):
@@ -218,6 +235,26 @@ def test_count_bad_budget_exits_2(capsys, monkeypatch, raw):
     assert code == 2 and out == "" and "budget" in err.lower()
     if raw != "-1":
         assert "GARDNER_BUDGET" in err
+
+
+def test_count_prints_exact_values_of_any_size(capsys):
+    value = 10 ** 1100
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "3", str(value))
+    assert sys.get_int_max_str_digits() == limit  # main restores the limit
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(g_formula_3(3, value))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(text) > limit
+    assert code == 0 and err == "" and out == f"{text}, {text}, {text}\n"
+
+
+def test_main_restores_the_digit_limit_after_an_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "count", "0", "5")[0] == 2
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_poly_text_and_json(capsys):

@@ -108,6 +108,14 @@ def test_formula_2_sums_only_the_nonzero_terms(d):
         assert g_formula_2(d, n) == g_formula_3(d, n)
 
 
+@pytest.mark.parametrize("d", [7, 11, 400, 3000])
+def test_formula_1_matches_formula_3_at_large_d(d):
+    # Formula (1) steps each binomial from the one before; N = 0 and N = 1
+    # are the edges where C(n, r) meets n = r.
+    for n in (0, 1, 2, 10, 10 ** 6):
+        assert g_formula_1(d, n) == g_formula_3(d, n)
+
+
 def test_formula_validation():
     for f in (g_formula_1, g_formula_2, g_formula_3):
         with pytest.raises(ValueError):

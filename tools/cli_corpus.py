@@ -1,0 +1,95 @@
+"""Run a fixed corpus of `gardner` commands and print what each one did.
+
+Usage: python3 tools/cli_corpus.py SRC_DIR > corpus.txt
+
+SRC_DIR is the directory that holds the `gardner` package (a checkout's
+`src`). Each command runs as a fresh `python -m gardner.cli` process in one
+temporary directory that holds the board files below, so two checkouts can
+be compared with `diff` on their outputs: the record of each command is its
+arguments, its exit code, its stdout and its stderr.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+BOARDS = {
+    "example.txt": "19 8 11 25 7\n12 1 4 18 0\n16 5 8 22 4\n"
+                   "21 10 13 27 9\n14 3 6 20 2\n",
+    "header.txt": "2\n1 2\n3 4\n",
+    "labelled.txt": "1 2\n3 4\n\n  + | 0 1\n",
+    "identity.txt": "1 0\n0 1\n",
+    "negative.txt": "1 -1\n0 -2\n",
+    "junk.txt": "x y\n",
+    "empty.txt": "",
+    "ragged.txt": "1 2\n3\n",
+    "good.json": '{"d": 2, "entries": [["1", "2"], [3, 4]], "value": "5"}',
+    "bad.json": '{"d": 2, "entries": [[1, 0], [0, 1]]}',
+    "float.json": '{"d": 2, "entries": [[1.9, 2], [3, 4.2]]}',
+    "bool.json": '{"d": 2, "entries": [[true, true], [true, true]]}',
+    "broken.json": '{"d": 2, "entries": [[1, 2], [3, 4]',
+    "zero-d.json": '{"d": 0, "entries": []}',
+    "nested.json": '{"entries": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    "big-token.txt": "9" * 5000 + "\n",
+    "wide.txt": "100 1\n100 1\n",
+}
+
+COMMANDS: list[tuple[dict, list[str]]] = [({}, []), ({}, ["--help"]), ({}, ["frobnicate"])]
+for name in ("trick", "verify", "count", "poly", "roots", "decompose", "locate", "duality"):
+    COMMANDS += [({}, [name, "--help"]), ({}, [name])]
+for extra in ([], ["--labels"], ["--json"], ["--labels", "--json"]):
+    for mode in ("uniform", "quick"):
+        COMMANDS.append(({}, ["trick", "4", "20", "--seed", "5", "--mode", mode, *extra]))
+COMMANDS += [({}, args) for args in (
+    ["trick", "1", "7", "--seed", "0"], ["trick", "2", "0", "--seed", "3", "--labels"],
+    ["trick", "2", str(10 ** 12), "--seed", "9"],
+    ["trick", "2", str(10 ** 20), "--mode", "quick", "--seed", "9", "--labels"],
+    ["trick", "0", "3", "--seed", "1"], ["trick", "3", "-1", "--seed", "1"], ["trick", "3", "x"],
+    ["trick", "3", "4", "--mode", "slow"], ["trick", "30", "1000", "--seed", "1", "--json"])]
+for cmd in ("verify", "decompose", "locate"):
+    for board in list(BOARDS) + ["missing.txt", "."]:
+        COMMANDS.append(({}, [cmd, board]))
+    for board in ("example.txt", "identity.txt", "negative.txt", "good.json", "missing.txt"):
+        COMMANDS.append(({}, [cmd, board, "--json"]))
+COMMANDS += [({}, args) for args in (
+    ["count", "3", "5"], ["count", "3", "5", "--json"], ["count", "1", "0"],
+    ["count", "4", "0", "--formula", "2"], ["count", "2", "4", "--formula", "3", "--oracle"],
+    ["count", "3", "2", "--oracle", "--json"], ["count", "2", "9", "--formula", "1"],
+    ["count", "0", "5"], ["count", "3", "-1"], ["count", "3", "5", "--formula", "4"],
+    ["count", "3000", "10"], ["count", "3", str(10 ** 1100)], ["count", "100000", "5"])]
+COMMANDS += [(env, ["count", "3", "3", "--oracle"]) for env in (
+    {"GARDNER_BUDGET": "10"}, {"GARDNER_BUDGET": "1000000"}, {"GARDNER_BUDGET": "abc"},
+    {"GARDNER_BUDGET": "-1"}, {"GARDNER_BUDGET": ""})]
+COMMANDS += [({}, args) for args in (
+    ["poly", "1"], ["poly", "2"], ["poly", "4"], ["poly", "5", "--json"], ["poly", "0"],
+    ["poly", "800"], ["roots", "1"], ["roots", "2"], ["roots", "5"], ["roots", "9", "--json"],
+    ["roots", "12", "--tol", "1e-3"], ["roots", "5", "--tol", "0"],
+    ["roots", "5", "--tol", "nan"], ["roots", "5", "--tol", "-1"], ["roots", "5", "--tol", "x"],
+    ["duality", "2"], ["duality", "3", "--samples", "5", "--seed", "1"],
+    ["duality", "2", "--samples", "4", "--json"], ["duality", "0"],
+    ["duality", "--samples", "0", "--", "-1"], ["duality", "100000"],
+    ["duality", "10", "--json"], ["duality", "3", "--samples", "-1"])]
+
+
+def main() -> None:
+    src = os.path.abspath(sys.argv[1])
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in BOARDS.items():
+            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for env, args in COMMANDS:
+            try:
+                result = subprocess.run(
+                    [sys.executable, "-m", "gardner.cli", *args], capture_output=True,
+                    text=True, cwd=work, timeout=30,
+                    env={**os.environ, "PYTHONPATH": src, **env})
+                code, out, err = result.returncode, result.stdout, result.stderr
+            except subprocess.TimeoutExpired:
+                code, out, err = "timeout", "", ""
+            print(f"=== {env} {args}\n--- exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+
+
+if __name__ == "__main__":
+    main()
