@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 from dataclasses import dataclass
 
 from .matrix import GMatrix, Labeling, SquareMatrix
@@ -58,11 +59,9 @@ class BoardDocument:
             raise BoardParseError(str(exc)) from None
         if all(len(r) == len(rows) for r in rows):
             return cls(tuple(rows))
-        if len(rows[0]) == 1:
-            d = rows[0][0]
-            body = rows[1:]
-            if len(body) == d and all(len(r) == d for r in body):
-                return cls(tuple(body))
+        body = rows[1:]  # under a header line that holds d, the number of body rows
+        if rows[0] == (len(body),) and all(len(r) == len(body) for r in body):
+            return cls(tuple(body))
         raise BoardParseError("board is not square (and no valid header found)")
 
     @classmethod
@@ -71,6 +70,8 @@ class BoardDocument:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise BoardParseError(f"invalid JSON: {exc}") from None
+        except ValueError:  # a number literal over the digit limit, which _parse_int words
+            data = json.loads(text, parse_int=_parse_int)
         if not isinstance(data, dict) or "entries" not in data:
             raise BoardParseError("JSON board needs an 'entries' key")
         try:
@@ -97,24 +98,36 @@ class BoardDocument:
 
 
 def _parse_row(tokens) -> tuple[int, ...]:
-    # One ASCII-digit check for the whole row when every token is a nonempty
-    # string; otherwise _parse_entry per token accepts JSON ints or words the error.
+    # One ASCII-digit check and one map(int) for the whole row of nonempty strings;
+    # failing that, _parse_entry per token accepts JSON ints or words the error.
     try:
         digits = "".join(tokens)
-    except TypeError:
-        digits = ""
-    if digits.isascii() and digits.isdigit() and all(tokens):
-        return tuple(map(int, tokens))
+        if digits.isascii() and digits.isdigit() and all(tokens):
+            return tuple(map(int, tokens))
+    except (TypeError, ValueError):
+        pass
     return tuple(_parse_entry(tok) for tok in tokens)
 
 
 def _parse_entry(token) -> int:
     # A JSON int (not a bool) or ASCII digits only; int() alone takes 1.9 and "1_0".
     if isinstance(token, str) and token.isascii() and token.isdigit():
-        return int(token)
+        return _parse_int(token)
     if type(token) is int and token >= 0:
         return token
-    raise ValueError(f"entry {token!r} is not a nonnegative decimal integer")
+    shown = repr(token)  # one token can be megabytes long: show at most 40 characters
+    shown = shown if len(shown) <= 40 else shown[:40] + "..."
+    raise ValueError(f"entry {shown} is not a nonnegative decimal integer")
+
+
+def _parse_int(literal: str) -> int:
+    # int() under the digit limit, worded by the entry's digit count; also the
+    # parse_int of json.loads, so that number literals get the same message.
+    try:
+        return int(literal)
+    except ValueError:
+        raise BoardParseError(f"entry has {len(literal.lstrip('-'))} digits, over the "
+                              f"limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 def format_board_text(m: SquareMatrix, header: bool = False) -> str:

@@ -1,10 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: subcommand x is handled by cmd_x.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse
 error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment
 variable overrides the default brute-force candidate ceiling; the sweep counts
 its first-row and first-column candidates, (N+1)^(2d-1). A budget that is not
-a nonnegative integer exits 2. Values are printed exactly, whatever their size.
+a nonnegative integer exits 2. main reads a board file once, under the int
+digit limit, then lifts the limit, so values of any size print exactly.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from . import counting, duality
 from .boards import (BoardDocument, board_json_payload, format_addition_table,
                      format_board_text)
 from .counting import BudgetExceededError
-from .matrix import (FactorialGuardError, GMatrix, decompose_canonical,
+from .matrix import (FactorialGuardError, GMatrix, SquareMatrix, decompose_canonical,
                      is_g_matrix_fast, trick_generate)
 from .polytope import locate
 
@@ -40,23 +41,26 @@ def _emit(data: dict, as_json: bool, text: str) -> None:
     print(json.dumps(data) if as_json else text)
 
 
+def _print_board(g: GMatrix, as_json: bool, board: bool, table: bool) -> None:
+    # Board text has d^2 entries, so only the requested format is built.
+    lab = decompose_canonical(g)
+    if as_json:
+        print(json.dumps(board_json_payload(g, lab)))
+    else:
+        parts = [format_board_text(g.matrix)] if board else []
+        parts += [format_addition_table(g, lab)] if table else []
+        print("\n\n".join(parts))
+
+
 def cmd_trick(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2 ** 63)
     print(f"seed: {seed}", file=sys.stderr)
-    g = trick_generate(args.d, args.value, args.mode, seed)
-    lab = decompose_canonical(g)
-    if args.json:
-        print(json.dumps(board_json_payload(g, lab)))
-    else:
-        print(format_board_text(g.matrix))
-        if args.labels:
-            print()
-            print(format_addition_table(g, lab))
+    _print_board(trick_generate(args.d, args.value, args.mode, seed), args.json,
+                 board=True, table=args.labels)
     return EXIT_OK
 
 
-def _load_board(path: str) -> GMatrix | None:
-    m = BoardDocument.load(path).to_matrix()  # outside the try: parse errors exit 2
+def _as_g_matrix(m: SquareMatrix) -> GMatrix | None:
     try:
         return GMatrix.from_matrix(m)
     except ValueError:
@@ -65,8 +69,7 @@ def _load_board(path: str) -> GMatrix | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    doc = BoardDocument.load(args.file)
-    check = is_g_matrix_fast(doc.to_matrix())
+    check = is_g_matrix_fast(args.board)
     if check:
         _emit({"value": str(check.value)}, args.json, f"value {check.value}")
         return EXIT_OK
@@ -112,19 +115,15 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    g = _load_board(args.file)
+    g = _as_g_matrix(args.board)
     if g is None:
         return EXIT_CHECK_FAILED
-    lab = decompose_canonical(g)
-    if args.json:
-        print(json.dumps(board_json_payload(g, lab)))
-    else:
-        print(format_addition_table(g, lab))
+    _print_board(g, args.json, board=False, table=True)
     return EXIT_OK
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    g = _load_board(args.file)
+    g = _as_g_matrix(args.board)
     if g is None:
         return EXIT_CHECK_FAILED
     k = locate(g)
@@ -160,11 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--labels", action="store_true",
                    help="also print the label table")
-    p.set_defaults(func=cmd_trick)
 
     p = sub.add_parser("verify", help="check a board file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="count boards of side d and value N")
     p.add_argument("d", type=int)
@@ -172,33 +169,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", choices=["1", "2", "3", "all"], default="all")
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force sweep")
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("poly", help="exact counting polynomial for side d")
     p.add_argument("d", type=int)
-    p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("roots", help="locate and classify the polynomial roots")
     p.add_argument("d", type=int)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("decompose", help="print a board's label table")
     p.add_argument("file")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("locate", help="half-open triangulation cell of a board")
     p.add_argument("file")
-    p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("duality", help="run the Gale-duality checks")
     p.add_argument("d", type=int)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_duality)
 
-    for p in sub.choices.values():  # last, so every usage line ends in [--json]
+    for name, p in sub.choices.items():  # last, so every usage line ends in [--json]
         p.add_argument("--json", action="store_true")
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -208,11 +200,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # Exact results of any size print; board-file tokens keep the digit limit.
+    # Board files are read under the digit limit; then exact results of any size print.
     limit = sys.get_int_max_str_digits()
-    if not hasattr(args, "file"):
-        sys.set_int_max_str_digits(0)
     try:
+        if getattr(args, "file", None) is not None:
+            args.board = BoardDocument.load(args.file).to_matrix()
+        sys.set_int_max_str_digits(0)
         return args.func(args)
     except (BudgetExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

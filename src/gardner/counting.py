@@ -255,23 +255,18 @@ class CountingPolynomial:
             if c == 0:
                 continue
             mag = abs(c)
-            if k == 0:
-                body = str(mag)
+            var = "" if k == 0 else "N" if k == 1 else f"N^{k}"
+            if var and mag == 1:
+                body = var
+            elif var and mag.denominator != 1:
+                body = f"({mag}){var}"
             else:
-                var = "N" if k == 1 else f"N^{k}"
-                if mag == 1:
-                    body = var
-                elif mag.denominator == 1:
-                    body = f"{mag.numerator}{var}"
-                else:
-                    body = f"({mag}){var}"
+                body = f"{mag}{var}"
             terms.append(("- " if c < 0 else "+ ") + body)
         if not terms:
             return "0"
-        first = terms[0].removeprefix("+ ")
-        if first.startswith("- "):
-            first = "-" + first[2:]
-        return " ".join([first] + terms[1:])
+        text = " ".join(terms)
+        return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "coeffs": [str(c) for c in self.coefficients]}

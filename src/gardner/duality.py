@@ -72,10 +72,9 @@ def permutation_matrix(sigma: Permutation | Sequence[int]) -> SquareMatrix:
     """0/1 matrix with a single 1 per row and column, at (i, sigma(i))."""
     if not isinstance(sigma, Permutation):
         sigma = Permutation(tuple(sigma))
-    d = sigma.d
-    return SquareMatrix(tuple(
-        tuple(1 if sigma.images[i - 1] == j else 0 for j in range(1, d + 1))
-        for i in range(1, d + 1)))
+    # Row i is the indicator of sigma(i).
+    return SquareMatrix(tuple(tuple(1 if j == s else 0 for j in range(1, sigma.d + 1))
+                              for s in sigma.images))
 
 
 def is_doubly_stochastic(b: SquareMatrix) -> bool:
@@ -314,7 +313,6 @@ def gale_pair_from_recipe(sub: AffineSubspace, sample_count: int = 20,
     p_desc = _h_description(sub)
     q_desc = _h_description(dual)
     rng = random.Random(seed)
-    checked = 0
     for _ in range(sample_count):
         x = _sample_nonneg_point(rng, sub)
         y = _sample_nonneg_point(rng, dual)
@@ -322,8 +320,7 @@ def gale_pair_from_recipe(sub: AffineSubspace, sample_count: int = 20,
             raise AssertionError("recipe sampling check failed")
         if not (p_desc.is_feasible(x) and q_desc.is_feasible(y)):
             raise AssertionError("sampled point infeasible for its own side")
-        checked += 1
-    return GaleDualPair(p_desc, q_desc, checked)
+    return GaleDualPair(p_desc, q_desc, max(sample_count, 0))  # every failure raised
 
 
 def _centered_hull(d: int, directions: list[list[int]]) -> AffineSubspace:
@@ -342,14 +339,9 @@ def gardner_hull(d: int) -> AffineSubspace:
 def birkhoff_hull(d: int) -> AffineSubspace:
     """Affine hull of the doubly stochastic matrices, dimension (d-1)^2; its
     directions E_ij - E_id - E_dj + E_dd (i, j < d) are their own RREF."""
-    directions = []
-    for i in range(d - 1):
-        for j in range(d - 1):
-            vec = [0] * (d * d)
-            vec[i * d + j] = vec[(d - 1) * d + (d - 1)] = 1
-            vec[i * d + (d - 1)] = vec[(d - 1) * d + j] = -1
-            directions.append(vec)
-    return _centered_hull(d, directions)
+    # E_ij - E_id - E_dj + E_dd is the outer product of e_i - e_d and e_j - e_d
+    diffs = [[int(k == i) - int(k == d - 1) for k in range(d)] for i in range(d - 1)]
+    return _centered_hull(d, [[a * b for a in u for b in v] for u in diffs for v in diffs])
 
 
 @dataclass(frozen=True)
@@ -406,7 +398,6 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
     """
     rng = random.Random(seed)
     violations: list[str] = []
-    samples = 0
     inside = 0
 
     for v in all_vertices(d):
@@ -418,7 +409,6 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
             (gardner_hull(d), _has_g_value_one, "value-1 G-check"),
             (birkhoff_hull(d), is_doubly_stochastic, "doubly stochastic check")):
         for _ in range(sample_count):
-            samples += 1
             jitter = [_bounded_fraction(rng, -1, 1) / (4 * d) for _ in hull.basis]
             point = [qk + sum(c * b[k] for c, b in zip(jitter, hull.basis) if b[k])
                      for k, qk in enumerate(hull.q)]
@@ -428,4 +418,5 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
             rows = tuple(tuple(point[i * d + j] for j in range(d)) for i in range(d))
             if not predicate(SquareMatrix(rows)):
                 violations.append(f"{name} fails on hull point {rows}")
-    return CompressedReport(d, samples, inside, tuple(violations))
+    # each hull draws all sample_count points: nothing above stops early
+    return CompressedReport(d, 2 * max(sample_count, 0), inside, tuple(violations))

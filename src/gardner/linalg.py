@@ -96,10 +96,7 @@ def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> Vec | None:
         return None
     if len(pivots) < ncols:
         raise ValueError("underdetermined system")
-    x = [Fraction(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
-    return tuple(x)
+    return tuple(row[-1] for row in reduced)  # the pivots are exactly 0 .. ncols-1
 
 
 def det_bareiss(rows: Sequence[Sequence[int]]) -> int:

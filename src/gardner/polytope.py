@@ -61,11 +61,9 @@ def all_vertices(d: int) -> tuple[Vertex, ...]:
 
 def vertex_matrix(v: Vertex) -> SquareMatrix:
     """The 0/1 matrix of a vertex; always a G-matrix of value 1."""
-    if v.kind == "R":
-        return SquareMatrix(tuple(
-            (1,) * v.d if i == v.index else (0,) * v.d for i in range(1, v.d + 1)))
-    return SquareMatrix(tuple(
-        tuple(1 if j == v.index else 0 for j in range(1, v.d + 1)) for _ in range(v.d)))
+    # C_j is d copies of the indicator row e_j; R_i is its transpose.
+    e = tuple(1 if k == v.index else 0 for k in range(1, v.d + 1))
+    return SquareMatrix(tuple((x,) * v.d for x in e) if v.kind == "R" else (e,) * v.d)
 
 
 @dataclass(frozen=True)
@@ -221,10 +219,8 @@ def halfopen_contains(g: GMatrix, cell: HalfOpenSimplex) -> bool:
     """Membership in a half-open cell: inside the simplex with strictly
     positive weight on every excluded vertex."""
     coeffs = barycentric(g, cell.simplex)
-    if coeffs is None:
-        return False
-    return all(c > 0 for v, c in zip(cell.simplex.vertices, coeffs)
-               if v in cell.excluded)
+    return coeffs is not None and all(c > 0 for v, c in zip(cell.simplex.vertices, coeffs)
+                                      if v in cell.excluded)
 
 
 def project_pi(a: SquareMatrix) -> tuple[Scalar, ...]:
@@ -235,12 +231,10 @@ def project_pi(a: SquareMatrix) -> tuple[Scalar, ...]:
     it sends C_j to e_(j-1) (with e_0 = 0) and R_(i+1) to e_(d-1+i), so each
     triangulation cell maps onto the standard simplex.
     """
-    d = a.d
-    if d < 2:
+    if a.d < 2:
         raise ValueError("projection needs d >= 2")
     first_row = a.rows[0]
-    corner = first_row[0]
-    return tuple(first_row[1:]) + tuple(a.rows[i][0] - corner for i in range(1, d))
+    return first_row[1:] + tuple(row[0] - first_row[0] for row in a.rows[1:])
 
 
 def unimodularity_check(cell: LatticeSimplex) -> bool:
@@ -254,7 +248,6 @@ def unimodularity_check(cell: LatticeSimplex) -> bool:
         raise ValueError("degenerate cell: expected 2d-1 vertices")
     if d == 1:
         return True
-    pts = [project_pi(vertex_matrix(v)) for v in cell.vertices]
-    base = pts[0]
-    diffs = [[p[c] - base[c] for c in range(2 * d - 2)] for p in pts[1:]]
+    base, *others = (project_pi(vertex_matrix(v)) for v in cell.vertices)
+    diffs = [[x - y for x, y in zip(p, base)] for p in others]
     return abs(linalg.det_bareiss(diffs)) == 1

@@ -160,6 +160,13 @@ def test_json_error_names_the_first_bad_token(token, shown):
         assert str(info.value) == f"entry {shown} is not a nonnegative decimal integer"
 
 
+def test_a_long_bad_token_is_shown_up_to_40_characters():
+    for token, shown in (("x" * 38, repr("x" * 38)), ("x" * 39, "'" + "x" * 39 + "...")):
+        with pytest.raises(BoardParseError) as info:
+            BoardDocument.from_text(f"1 2\n3 {token}\n")
+        assert str(info.value) == f"entry {shown} is not a nonnegative decimal integer"
+
+
 def test_json_rows_of_strings_and_ints_parse_alike():
     want = ((1, 20), (300, 0))
     for entries in ('[["1", "20"], ["300", "0"]]', '[[1, 20], [300, 0]]',

@@ -126,6 +126,47 @@ def test_board_token_over_the_digit_limit_exits_2(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_verify_prints_a_value_over_the_digit_limit(capsys, tmp_path):
+    # Entries of 4,300 digits are read under the limit; their 4,301-digit sum prints.
+    nines = "9" * 4300
+    path = tmp_path / "big-value.txt"
+    path.write_text(f"{nines} {nines}\n{nines} {nines}\n")
+    value = "1" + "9" * 4299 + "8"
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (0, f"value {value}\n", "")
+    code, out, err = run(capsys, "verify", str(path), "--json")
+    assert code == 0 and err == "" and json.loads(out) == {"value": value}
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("name, text", [
+    ("digits.txt", "9" * 5000 + "\n"),
+    ("string.json", '{"entries": [["' + "9" * 5000 + '", "1"], ["2", "3"]]}'),
+    ("literal.json", '{"entries": [[' + "9" * 5000 + ', 1], [2, 3]]}'),
+    ("negative.json", '{"entries": [[-' + "9" * 5000 + ', 1], [2, 3]]}'),
+], ids=["text", "json-string", "json-literal", "json-negative-literal"])
+def test_entry_over_the_digit_limit_names_its_length(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err == f"error: entry has 5000 digits, over the limit of {limit} digits\n"
+
+
+@pytest.mark.parametrize("text", [
+    "x" * 1_000_000 + "\n",
+    '{"entries": ' + "[" * 500 + "]" * 500 + "}",
+], ids=["long-token", "deep-json"])
+def test_a_huge_bad_token_gives_a_short_message(capsys, tmp_path, text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and len(err.encode()) < 200
+    assert "... is not a nonnegative decimal integer" in err
+
+
 def test_trick_one_by_one(capsys):
     code, out, _ = run(capsys, "trick", "1", "7")
     assert code == 0 and out.strip() == "7"

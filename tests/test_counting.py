@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -253,6 +254,43 @@ def test_interpolate_small():
     assert interpolate(1).coefficients == (Fraction(1),)
     assert interpolate(2).coefficients == (Fraction(1), Fraction(2), Fraction(1))
     assert interpolate(2).pretty() == "1 + 2N + N^2"
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ((-1, 0, 1), "-1 + N^2"),
+    ((Fraction(1, 2), 1, Fraction(3, 2)), "1/2 + N + (3/2)N^2"),
+    ((0, -1, 1), "-N + N^2"),
+    ((0, 0, 1), "N^2"),
+    ((3, -1, Fraction(1, 6)), "3 - N + (1/6)N^2"),
+    ((Fraction(-1, 2), -2, Fraction(2, 3)), "-1/2 - 2N + (2/3)N^2"),
+    ((Fraction(-7, 3), 5, 0, Fraction(-1, 4), Fraction(9, 2)), "-7/3 + 5N - (1/4)N^3 + (9/2)N^4"),
+])
+def test_pretty_signs_units_fractions_and_zeros(coeffs, want):
+    assert CountingPolynomial(len(coeffs) // 2 + 1, coeffs).pretty() == want
+
+
+# SHA-256 of each interpolate(d).pretty(), so that the printed form cannot
+# drift; d = 3 is also given in full.
+PRETTY_SHA256 = {
+    1: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    2: "fd123fac1944efdd169b9d486ea846304352e657d9e202399460d68199bb5116",
+    3: "2d7bbc704842673581a3b3ea03c6587361cf5f2bc7f43ba25a4c298e3e3c9eeb",
+    4: "fb99e7500f11900a5d5c3cddd254962b829561f54ed46b01a3cb848722febcbf",
+    5: "b85b74634cc2dc221a5369a379e225b78e21f72ee4022baab98ff73eb664602c",
+    6: "2cc74284134cf9d97e4af8eb962c7d638734cbc9fafe6a9a746d8565a425be2d",
+    7: "6760b017f198ca285d1493f4b214ad10307107aacc44e92731dd5a2d147b5e96",
+    8: "dbf565ead7613372943819b1985dba6faf9c3674702e359c8d97649affea14a8",
+    9: "04d36e3df33741f21bb9a9b304ab8f3e33853270cfc9c1ac98432ced389c6173",
+    10: "bfe3223eb6311d24b04fff219aec061a1a255dec7490edf486e6d89a1f134cf7",
+    11: "035cfcd4ea28e2cce0a080003c8f16982611602f9f5c5c3a0ba189c55cb7fcf1",
+    12: "89319c88848db15166ca28798acbdc8969d9c4c5a7cb0ea156ce57314c8785b0",
+}
+
+
+def test_pretty_of_interpolate_is_unchanged():
+    assert interpolate(3).pretty() == "1 + (9/4)N + (15/8)N^2 + (3/4)N^3 + (1/8)N^4"
+    for d, digest in PRETTY_SHA256.items():
+        assert hashlib.sha256(interpolate(d).pretty().encode()).hexdigest() == digest
 
 
 def test_interpolate_degree_and_leading_coefficient():

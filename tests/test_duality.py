@@ -278,6 +278,13 @@ def test_compressed_check():
         assert report.inside_cube > 0
 
 
+def test_sample_counts_are_the_requested_counts():
+    assert compressed_check(2, sample_count=30, seed=1).samples == 60
+    assert compressed_check(2, sample_count=-3).samples == 0
+    line = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
+    assert gale_pair_from_recipe(line, sample_count=-1).samples_checked == 0
+
+
 def test_hull_point_outside_cube_is_not_a_board():
     # (3/2) C1 - (1/2) C2 lies on the value-1 hull but has entries -1/2,
     # so it is outside the unit cube and fails the nonnegativity check.

@@ -34,6 +34,9 @@ BOARDS = {
     "nested.json": '{"entries": ' + "[" * 200_000 + "]" * 200_000 + "}",
     "big-token.txt": "9" * 5000 + "\n",
     "wide.txt": "100 1\n100 1\n",
+    "big-value.txt": ("9" * 4300 + " " + "9" * 4300 + "\n") * 2,
+    "long-junk.txt": "x" * 100_000 + "\n",
+    "big-literal.json": '{"d": 2, "entries": [[' + "7" * 5000 + ', 1], [2, 3]]}',
 }
 
 COMMANDS: list[tuple[dict, list[str]]] = [({}, []), ({}, ["--help"]), ({}, ["frobnicate"])]
