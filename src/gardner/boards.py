@@ -67,11 +67,9 @@ class BoardDocument:
     @classmethod
     def from_json(cls, text: str) -> "BoardDocument":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=_parse_int)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise BoardParseError(f"invalid JSON: {exc}") from None
-        except ValueError:  # a number literal over the digit limit, which _parse_int words
-            data = json.loads(text, parse_int=_parse_int)
         if not isinstance(data, dict) or "entries" not in data:
             raise BoardParseError("JSON board needs an 'entries' key")
         try:

@@ -1,4 +1,4 @@
-"""Command-line front end: subcommand x is handled by cmd_x.
+"""Command-line front end: subcommand x is handled by cmd_x, mapped in build_parser.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse
 error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment
@@ -188,9 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
 
+    handlers = {"trick": cmd_trick, "verify": cmd_verify, "count": cmd_count,
+                "poly": cmd_poly, "roots": cmd_roots, "decompose": cmd_decompose,
+                "locate": cmd_locate, "duality": cmd_duality}
     for name, p in sub.choices.items():  # last, so every usage line ends in [--json]
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=globals()[f"cmd_{name}"])
+        p.set_defaults(func=handlers[name])
     return parser
 
 

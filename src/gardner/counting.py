@@ -263,8 +263,6 @@ class CountingPolynomial:
             else:
                 body = f"{mag}{var}"
             terms.append(("- " if c < 0 else "+ ") + body)
-        if not terms:
-            return "0"
         text = " ".join(terms)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 

@@ -398,7 +398,7 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
     """
     rng = random.Random(seed)
     violations: list[str] = []
-    inside = 0
+    samples = inside = 0
 
     for v in all_vertices(d):
         m = vertex_matrix(v)
@@ -409,6 +409,7 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
             (gardner_hull(d), _has_g_value_one, "value-1 G-check"),
             (birkhoff_hull(d), is_doubly_stochastic, "doubly stochastic check")):
         for _ in range(sample_count):
+            samples += 1
             jitter = [_bounded_fraction(rng, -1, 1) / (4 * d) for _ in hull.basis]
             point = [qk + sum(c * b[k] for c, b in zip(jitter, hull.basis) if b[k])
                      for k, qk in enumerate(hull.q)]
@@ -418,5 +419,4 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
             rows = tuple(tuple(point[i * d + j] for j in range(d)) for i in range(d))
             if not predicate(SquareMatrix(rows)):
                 violations.append(f"{name} fails on hull point {rows}")
-    # each hull draws all sample_count points: nothing above stops early
-    return CompressedReport(d, 2 * max(sample_count, 0), inside, tuple(violations))
+    return CompressedReport(d, samples, inside, tuple(violations))
