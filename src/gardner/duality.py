@@ -18,7 +18,7 @@ q orthogonal to U and q != 0, the set of y pairing to 1 against all of L is
 
 an involution with dim L + dim L-dagger = D - 1. Whenever q > 0 entrywise,
 intersecting L and L-dagger with the nonnegative orthant produces a Gale-dual
-pair. Everything is exact rational arithmetic.
+pair. The checks are exact, over integers with one common denominator.
 
 Both polytopes are Gorenstein of index d (the all-ones matrix J is the unique
 interior lattice point of the d-th dilate, and subtracting J retracts the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,8 +80,11 @@ def permutation_matrix(sigma: Permutation | Sequence[int]) -> SquareMatrix:
 
 def is_doubly_stochastic(b: SquareMatrix) -> bool:
     """Nonnegative with every row and column summing to exactly 1."""
-    rows = b.rows
-    return b.is_nonnegative() and all(sum(line) == 1 for line in (*rows, *zip(*rows)))
+    return _has_line_sums(b, 1)
+
+
+def _has_line_sums(b: SquareMatrix, total: Scalar) -> bool:
+    return b.is_nonnegative() and all(sum(line) == total for line in (*b.rows, *zip(*b.rows)))
 
 
 def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
@@ -90,9 +94,9 @@ def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
     return sum(x * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
 
 
-def _has_g_value_one(a: SquareMatrix) -> bool:
+def _has_g_value(a: SquareMatrix, value: Scalar = 1) -> bool:
     check = is_g_matrix_fast(a)
-    return bool(check) and check.value == 1
+    return bool(check) and check.value == value
 
 
 def _bounded_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
@@ -130,6 +134,7 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
     rng = random.Random(seed)
     g_vertices = [vertex_matrix(v) for v in all_vertices(d)]
+    vertex_entries = [v.flat() for v in g_vertices]
 
     vertex_pairings = 0
     for v in g_vertices:
@@ -139,11 +144,12 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
                                   f"vertex {v!r} does not pair to 1 with every P_s")
 
     def g_side_agrees(a: SquareMatrix) -> bool:
-        return (is_g_matrix_bruteforce(a, guard) == 1) == _has_g_value_one(a)
+        return (is_g_matrix_bruteforce(a, guard) == 1) == _has_g_value(a)
 
     def b_side_agrees(b: SquareMatrix) -> bool:
-        by_pairing = b.is_nonnegative() and \
-            all(pairing(b, v) == 1 for v in g_vertices)
+        nums, den = linalg.integer_vector(b.flat())  # <b, v> = 1 over the integers
+        by_pairing = all(n >= 0 for n in nums) and \
+            all(sum(map(operator.mul, nums, v)) == den for v in vertex_entries)
         return by_pairing == is_doubly_stochastic(b)
 
     samples = 0
@@ -176,11 +182,11 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
 
 def _random_convex_combination(rng: random.Random, d: int) -> SquareMatrix:
     weights = [rng.randint(1, 50) for _ in range(d + 1)]
-    acc = SquareMatrix.zero(d)
+    acc = [[0] * d for _ in range(d)]  # integer weight sums, divided once
     for w in weights:
-        p = permutation_matrix(rng.sample(range(1, d + 1), d))
-        acc = acc + p.scaled(Fraction(w, sum(weights)))
-    return acc
+        for i, s in enumerate(rng.sample(range(d), d)):  # row i holds a 1 at column s
+            acc[i][s] += w
+    return SquareMatrix(tuple(tuple(Fraction(x, sum(weights)) for x in row) for row in acc))
 
 
 @dataclass(frozen=True)
@@ -226,9 +232,11 @@ class AffineSubspace:
         diff = [Fraction(x) - qx for x, qx in zip(linalg.to_vec(point), self.q)]
         return linalg.rank(list(self.basis) + [diff]) == len(self.basis)
 
-    def spanning_points(self) -> list[tuple[Fraction, ...]]:
-        """q together with q + b for each basis direction b."""
-        return [self.q] + [tuple(qx + bx for qx, bx in zip(self.q, b)) for b in self.basis]
+    def spanning_points(self) -> list[tuple[list[int], int]]:
+        """q and q + b for each basis direction b, as integers over one denominator."""
+        q, dq = linalg.integer_vector(self.q)
+        return [(q, dq)] + [([x * db + y * dq for x, y in zip(q, b)], dq * db)
+                            for b, db in map(linalg.integer_vector, self.basis)]
 
 
 def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
@@ -243,16 +251,16 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
     """
     if all(x == 0 for x in sub.q):
         raise ValueError("subspace contains the origin; its dual is empty")
-    norm_sq = linalg.dot(sub.q, sub.q)
-    q_dual = tuple(x / norm_sq for x in sub.q)
+    q, dq = linalg.integer_vector(sub.q)  # q/|q|^2 = dq * q / (q . q) over the integers
+    norm_sq = sum(x * x for x in q)
+    q_dual = tuple(Fraction(dq * x, norm_sq) for x in q)
     reduced, _ = linalg.rref(linalg.nullspace(list(sub.basis) + [sub.q], sub.ambient))
     result = AffineSubspace(sub.ambient, q_dual, tuple(map(tuple, reduced)))
-    if any(linalg.dot(b, sub.q) != 0 for b in result.basis):
+    if any(sum(map(operator.mul, b, q)) for b, _ in map(linalg.integer_vector, result.basis)):
         raise AssertionError("dual directions are not orthogonal to the base point")
-    ys = [linalg.integer_vector(y) for y in result.spanning_points()]
-    for x, dx in map(linalg.integer_vector, sub.spanning_points()):
-        if any(sum(a * b for a, b in zip(x, y)) != dx * dy for y, dy in ys):
-            raise AssertionError("dual construction failed its pairing check")
+    pairs = itertools.product(sub.spanning_points(), result.spanning_points())
+    if any(sum(map(operator.mul, x, y)) != dx * dy for (x, dx), (y, dy) in pairs):
+        raise AssertionError("dual construction failed its pairing check")
     return result
 
 
@@ -332,6 +340,7 @@ def _centered_hull(d: int, directions: list[list[int]]) -> AffineSubspace:
 
 def gardner_hull(d: int) -> AffineSubspace:
     """Affine hull of the value-1 G-matrices, dimension 2d-2."""
+    _check_d_value(d)
     c1, *others = (vertex_matrix(v).flat() for v in all_vertices(d))
     return _centered_hull(d, [[a - b for a, b in zip(v, c1)] for v in others])
 
@@ -339,6 +348,7 @@ def gardner_hull(d: int) -> AffineSubspace:
 def birkhoff_hull(d: int) -> AffineSubspace:
     """Affine hull of the doubly stochastic matrices, dimension (d-1)^2; its
     directions E_ij - E_id - E_dj + E_dd (i, j < d) are their own RREF."""
+    _check_d_value(d)
     # E_ij - E_id - E_dj + E_dd is the outer product of e_i - e_d and e_j - e_d
     diffs = [[int(k == i) - int(k == d - 1) for k in range(d)] for i in range(d - 1)]
     return _centered_hull(d, [[a * b for a in u for b in v] for u in diffs for v in diffs])
@@ -396,27 +406,36 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
     Points falling outside the cube are discarded, not violations. All 0/1
     vertices of both polytopes are checked to lie in the cube.
     """
+    _check_d_value(d)
     rng = random.Random(seed)
     violations: list[str] = []
     samples = inside = 0
 
     for v in all_vertices(d):
-        m = vertex_matrix(v)
-        if not all(x in (0, 1) for x in m.flat()):
+        if not all(x in (0, 1) for x in vertex_matrix(v).flat()):
             violations.append(f"vertex {v} is not a 0/1 point")
 
     for hull, predicate, name in (
-            (gardner_hull(d), _has_g_value_one, "value-1 G-check"),
-            (birkhoff_hull(d), is_doubly_stochastic, "doubly stochastic check")):
+            (gardner_hull(d), _has_g_value, "value-1 G-check"),
+            (birkhoff_hull(d), _has_line_sums, "doubly stochastic check")):
+        q, dq = linalg.integer_vector(hull.q)
+        basis = [([(k, x) for k, x in enumerate(b) if x], db)  # nonzero entries of b / db
+                 for b, db in map(linalg.integer_vector, hull.basis)]
         for _ in range(sample_count):
             samples += 1
-            jitter = [_bounded_fraction(rng, -1, 1) / (4 * d) for _ in hull.basis]
-            point = [qk + sum(c * b[k] for c, b in zip(jitter, hull.basis) if b[k])
-                     for k, qk in enumerate(hull.q)]
-            if not all(0 <= x <= 1 for x in point):
+            # jitter r / m / (4d), drawn as _bounded_fraction(rng, -1, 1) / (4d) draws it
+            draws = [(rng.randint(-1, 1), rng.randint(1, 1000)) for _ in basis]
+            terms = [(r, 4 * d * m * db, b) for (r, m), (b, db) in zip(draws, basis) if r]
+            den = math.lcm(dq, *(dc for _, dc, _ in terms))
+            point = [x * (den // dq) for x in q]
+            for r, dc, b in terms:
+                for k, x in b:
+                    point[k] += r * (den // dc) * x
+            if not all(0 <= x <= den for x in point):  # the unit cube, over the integers
                 continue
             inside += 1
-            rows = tuple(tuple(point[i * d + j] for j in range(d)) for i in range(d))
-            if not predicate(SquareMatrix(rows)):
+            board = SquareMatrix(tuple(point[i:i + d] for i in range(0, d * d, d)))
+            if not predicate(board, den):
+                rows = tuple(tuple(Fraction(x, den) for x in row) for row in board.rows)
                 violations.append(f"{name} fails on hull point {rows}")
     return CompressedReport(d, samples, inside, tuple(violations))

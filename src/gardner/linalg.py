@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Row reduction, rank, null spaces, unique solves, and an integer determinant,
-all by fraction-free elimination: rows are cleared of denominators and
-reduced over the integers (as in Bareiss, Math. Comp. 1968). Rows may hold
-anything ``fractions.Fraction`` accepts, floats read exactly; ``dot`` takes
-ints and Fractions. Nothing here rounds.
+exact, over integers with one common denominator: each row is cleared to
+integers once (``integer_vector``) and eliminated fraction-free (Bareiss,
+Math. Comp. 1968). Rows may hold anything ``fractions.Fraction`` accepts,
+floats read exactly; ``dot`` takes ints and Fractions. Nothing here rounds.
 """
 from __future__ import annotations
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
+from . import linalg
+
 Scalar = Union[int, Fraction]
 
 #: Largest side the d!-placement rook-sum check accepts by default: an input
@@ -242,25 +244,30 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
 
     Row by row, keep one covered sum per set of used columns: two partial
     placements on one set share every completion, so a set that meets two
-    sums proves two placements disagree. Returns the common value, or None
-    if entries are negative or two placements disagree. Refuses d > guard.
+    sums proves two placements disagree. Exact, over integers with one
+    common denominator. Returns the common value, or None if entries are
+    negative or two placements disagree. Refuses d > guard.
     """
     d = a.d
     if d > guard:
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
-    if not a.is_nonnegative():
-        return None
+    rows = a.rows
+    if {type(x) for row in rows for x in row} in ({Fraction}, {int, Fraction}):  # floats: as given
+        nums, _ = linalg.integer_vector(a.flat())
+        rows = [nums[k:k + d] for k in range(0, d * d, d)]
     sums: dict[int, Scalar] = {0: 0}  # bitmask of used columns -> covered sum
-    for row in a.rows:
+    for row in rows:
         extended: dict[int, Scalar] = {}
         for used, s in sums.items():
             for j, x in enumerate(row):
                 if not used & (1 << j):  # row's rook on the free column j
-                    key, t = used | (1 << j), s + x
-                    if extended.setdefault(key, t) != t:
+                    t = s + x
+                    if extended.setdefault(used | (1 << j), t) != t:
                         return None
         sums = extended
-    return sums[(1 << d) - 1]
+    if not all(x >= 0 for row in rows for x in row):  # most boards fail the sweep first
+        return None
+    return _diagonal_sum(a)
 
 
 def _exchange_witness(a: SquareMatrix, i: int, j: int) -> Witness:
@@ -314,7 +321,7 @@ def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
 
 
 def _diagonal_sum(a: SquareMatrix) -> Scalar:
-    # The value is_g_matrix_fast certifies, which from_matrix declares up front.
+    # The identity placement's sum: both rook-sum checks return it as the value.
     return sum(a.rows[i][i] for i in range(a.d))
 
 

@@ -1,0 +1,167 @@
+"""The duality checks over integers with one common denominator.
+
+Rook sums, pairings and sample points are computed as integer numerators over
+one denominator. These tests pin that the results are those of exact rational
+arithmetic, with the same seeded draws, and that the integer checks still
+catch a wrong construction.
+"""
+import math
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from gardner import duality
+from gardner.duality import (AffineSubspace, GalePairReport, birkhoff_hull,
+                             compressed_check, dual_subspace, gale_pair_check,
+                             gardner_hull, permutation_matrix)
+from gardner.matrix import Labeling, SquareMatrix, compose, is_g_matrix_bruteforce
+from test_matrix import rook_sum_by_definition
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_bruteforce_matches_the_definition_with_large_denominators(kind):
+    # Labels with denominators up to 1000, as gale_pair_check's scaled boards
+    # have, and bumps of 1/997: one common denominator must keep every sum exact.
+    rng = random.Random(f"common-denominator-{kind}")
+
+    def label():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(0, 9)
+        return Fraction(rng.randint(0, 5000), rng.randint(1, 1000))
+
+    outcomes = Counter()
+    for _ in range(200):
+        d = rng.randint(1, 5)
+        lab = Labeling(tuple(label() for _ in range(d)), tuple(label() for _ in range(d)))
+        board = compose(lab)
+        rows = [list(r) for r in board.matrix.rows]
+        shape = rng.choice(["board", "bumped", "negative"])
+        i, j = rng.randrange(d), rng.randrange(d)
+        if shape == "bumped":
+            rows[i][j] += 1 if kind == "int" else Fraction(1, 997)
+        elif shape == "negative":
+            rows[i][j] = -rows[i][j] - 1
+        m = SquareMatrix(tuple(map(tuple, rows)))
+        got, want = is_g_matrix_bruteforce(m), rook_sum_by_definition(m)
+        assert (got, type(got)) == (want, type(want)), m.rows
+        outcomes[shape, got is None] += 1
+    assert outcomes["board", False] > 50 and outcomes["negative", True] > 50
+    assert outcomes["bumped", True] > 25  # d = 1 boards stay G-matrices when bumped
+
+
+def test_bruteforce_sums_float_entries_as_given():
+    # 0.1 + 3/10 and 0.2 + 0.2 are both 0.4 in floats but differ exactly; a
+    # board with a float is outside Scalar and is summed as given.
+    m = SquareMatrix(((0.1, 0.2), (0.2, Fraction(3, 10))))
+    assert is_g_matrix_bruteforce(m) == rook_sum_by_definition(m) == 0.4
+
+
+def convex_combination_by_fractions(rng: random.Random, d: int) -> SquareMatrix:
+    # The Fraction form, kept only as the reference for _random_convex_combination.
+    weights = [rng.randint(1, 50) for _ in range(d + 1)]
+    acc = SquareMatrix.zero(d)
+    for w in weights:
+        p = permutation_matrix(rng.sample(range(1, d + 1), d))
+        acc = acc + p.scaled(Fraction(w, sum(weights)))
+    return acc
+
+
+def test_convex_combination_matches_the_fraction_sum():
+    for seed in range(60):
+        d = 1 + seed % 7
+        ours, reference = random.Random(seed), random.Random(seed)
+        got = duality._random_convex_combination(ours, d)
+        want = convex_combination_by_fractions(reference, d)
+        assert got == want and {type(x) for x in got.flat()} == {Fraction}
+        assert ours.getstate() == reference.getstate()  # the same draws, in order
+
+
+# Reports of the Fraction implementation, recorded on its last commit.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gale_pair_check_reports_are_unchanged(d, seed):
+    expected = GalePairReport(d, 2 * d * math.factorial(d), 120, None)
+    assert gale_pair_check(d, 20, seed) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_compressed_check_counts_are_unchanged(d, seed):
+    report = compressed_check(d, 50, seed)
+    assert (report.samples, report.inside_cube, report.violations) == (100, 100, ())
+
+
+def test_compressed_check_keeps_the_points_inside_the_cube(monkeypatch):
+    # The hulls' own jitter never leaves the cube. Directions stretched
+    # 300-fold span the same hulls and do, so the kept points are counted
+    # against the same draws in Fraction arithmetic.
+    d, count, seed = 3, 80, 4
+    stretched = {}
+    for name in ("gardner_hull", "birkhoff_hull"):
+        hull = getattr(duality, name)(d)
+        stretched[name] = AffineSubspace(hull.ambient, hull.q,
+                                         tuple(tuple(300 * x for x in b) for b in hull.basis))
+        monkeypatch.setattr(duality, name, lambda _, hull=stretched[name]: hull)
+    report = compressed_check(d, count, seed)
+    rng, inside = random.Random(seed), 0
+    for hull in stretched.values():
+        for _ in range(count):
+            jitter = [duality._bounded_fraction(rng, -1, 1) / (4 * d) for _ in hull.basis]
+            point = [qk + sum(c * b[k] for c, b in zip(jitter, hull.basis))
+                     for k, qk in enumerate(hull.q)]
+            inside += all(0 <= x <= 1 for x in point)
+    assert report.samples == 2 * count
+    assert 0 < report.inside_cube == inside < report.samples
+    assert report.passed
+
+
+def test_compressed_check_names_the_hull_point_it_rejects(monkeypatch):
+    seen = []
+
+    def refuse(board, value=1):
+        seen.append((board, value))
+        return False
+
+    monkeypatch.setattr(duality, "_has_g_value", refuse)
+    report = compressed_check(3, 4, seed=1)
+    assert len(report.violations) == len(seen) == 4
+    hull = gardner_hull(3)
+    for message, (board, den) in zip(report.violations, seen):
+        rows = tuple(tuple(Fraction(x, den) for x in row) for row in board.rows)
+        assert message == f"value-1 G-check fails on hull point {rows}"
+        assert hull.contains([x for row in rows for x in row])
+
+
+def test_dual_subspace_catches_a_direction_off_the_base_point(monkeypatch):
+    hull = birkhoff_hull(3)
+    corner = (Fraction(1),) + (Fraction(0),) * 8  # pairs to 1/3 with q = J/3
+    monkeypatch.setattr(duality.linalg, "nullspace", lambda rows, ncols: [corner])
+    with pytest.raises(AssertionError, match="not orthogonal to the base point"):
+        dual_subspace(hull)
+
+
+def test_dual_subspace_catches_a_direction_off_the_dual(monkeypatch):
+    hull = birkhoff_hull(3)
+    # E_11 - E_12 is orthogonal to q = J/3, but pairs to 1 with E_11 - E_13 - E_31 + E_33
+    wrong = (Fraction(1), Fraction(-1)) + (Fraction(0),) * 7
+    monkeypatch.setattr(duality.linalg, "nullspace", lambda rows, ncols: [wrong])
+    with pytest.raises(AssertionError, match="failed its pairing check"):
+        dual_subspace(hull)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_hull_duals_are_involutions_up_to_8(d):
+    for hull in (gardner_hull(d), birkhoff_hull(d)):
+        assert dual_subspace(dual_subspace(hull)) == hull
+    assert dual_subspace(gardner_hull(d)) == birkhoff_hull(d)
+
+
+@pytest.mark.parametrize("call, args", [(birkhoff_hull, (-2,)), (birkhoff_hull, (0,)),
+                                        (gardner_hull, (0,)), (compressed_check, (0, 5))],
+                         ids=["birkhoff_hull(-2)", "birkhoff_hull(0)", "gardner_hull(0)",
+                              "compressed_check(0, 5)"])
+def test_hulls_reject_d_below_one(call, args):
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        call(*args)

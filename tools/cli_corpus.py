@@ -73,7 +73,8 @@ COMMANDS += [({}, args) for args in (
     ["duality", "2"], ["duality", "3", "--samples", "5", "--seed", "1"],
     ["duality", "2", "--samples", "4", "--json"], ["duality", "0"],
     ["duality", "--samples", "0", "--", "-1"], ["duality", "100000"],
-    ["duality", "10", "--json"], ["duality", "3", "--samples", "-1"])]
+    ["duality", "10", "--json"], ["duality", "3", "--samples", "-1"], ["duality", "9"],
+    ["duality", "5", "--samples", "200", "--seed", "3"])]
 
 
 def main() -> None:
