@@ -4,10 +4,10 @@ Text format: an optional header line holding the single integer d, then d
 lines of d whitespace-separated nonnegative decimal integers. A blank line
 ends the board; anything after it (e.g. an appended label table) is ignored.
 
-JSON format: an object {"d": int, "entries": [[int, ...], ...]}; entries may
-also be strings of ASCII decimal digits, and the metadata keys "value",
-"lambda", "mu" are accepted. Floats, booleans, signs and underscores are
-rejected. On output, big integers are always emitted as decimal strings.
+JSON format: an object {"d": int, "entries": [[int, ...], ...]}, each row an
+array; entries may also be strings of ASCII decimal digits, and the metadata
+keys "value", "lambda" and "mu" (arrays) are accepted. Floats, booleans, signs
+and underscores are rejected. On output, integers are always decimal strings.
 """
 from __future__ import annotations
 
@@ -76,8 +76,8 @@ class BoardDocument:
             rows = [_parse_row(row) for row in data["entries"]]
             d = _parse_entry(data["d"]) if "d" in data else len(rows)
             value = _parse_entry(data["value"]) if "value" in data else None
-            lam = tuple(_parse_entry(x) for x in data["lambda"]) if "lambda" in data else None
-            mu = tuple(_parse_entry(x) for x in data["mu"]) if "mu" in data else None
+            lam = _parse_row(data["lambda"]) if "lambda" in data else None
+            mu = _parse_row(data["mu"]) if "mu" in data else None
         except (TypeError, ValueError) as exc:
             raise BoardParseError(str(exc)) from None
         if len(rows) != d or any(len(r) != d for r in rows):
@@ -96,8 +96,10 @@ class BoardDocument:
 
 
 def _parse_row(tokens) -> tuple[int, ...]:
-    # One ASCII-digit check and one map(int) for the whole row of nonempty strings;
-    # failing that, _parse_entry per token accepts JSON ints or words the error.
+    # Lists only, else "12" reads as (1, 2). One ASCII-digit check and one map(int) per
+    # row of nonempty strings; failing that, _parse_entry per token words the error.
+    if not isinstance(tokens, list):
+        raise ValueError(f"expected a list of entries, got {type(tokens).__name__}")
     try:
         digits = "".join(tokens)
         if digits.isascii() and digits.isdigit() and all(tokens):

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Row reduction, rank, null spaces, unique solves, and an integer determinant,
-exact, over integers with one common denominator: each row is cleared to
-integers once (``integer_vector``) and eliminated fraction-free (Bareiss,
-Math. Comp. 1968). Rows may hold anything ``fractions.Fraction`` accepts,
+Row reduction, rank, null spaces, unique solves, and an integer determinant.
+``rref`` clears each row to integers once (``integer_vector``), cross-multiplies
+and divides each new row by its gcd; ``det_bareiss`` is Bareiss's fraction-free
+elimination (Math. Comp. 1968). Rows may hold anything ``Fraction`` accepts,
 floats read exactly; ``dot`` takes ints and Fractions. Nothing here rounds.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,10 +20,11 @@ def to_vec(xs: Sequence) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
+def dot(u: Sequence, v: Sequence) -> int | Fraction:
+    """The inner product sum u_k * v_k, in the arithmetic of the entries."""
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
-    return Fraction(sum(a * b for a, b in zip(u, v)))
+    return sum(map(operator.mul, u, v))
 
 
 def integer_vector(xs: Sequence) -> tuple[list[int], int]:

@@ -179,3 +179,21 @@ def test_fraction_board_text_is_unchanged():
     m = SquareMatrix(((Fraction(1, 2), 3), (10, Fraction(-7, 3))))
     assert str(m) == " 1/2    3\n  10 -7/3"
     assert format_board_text(m, header=True) == "2\n 1/2    3\n  10 -7/3"
+
+
+@pytest.mark.parametrize("text", [
+    '{"entries": ["12", "34"]}', '{"entries": {"12": 1, "34": 2}}',
+    '{"entries": [[1, 2], "34"]}', '{"d": 2, "entries": [[1, 2], [3, 4]], "lambda": "12"}',
+    '{"d": 2, "entries": [[1, 2], [3, 4]], "mu": "02"}',
+], ids=["string-rows", "object-rows", "mixed-rows", "string-lambda", "string-mu"])
+def test_json_rows_and_labels_must_be_arrays(text):
+    # A string row would otherwise be read one digit at a time.
+    with pytest.raises(BoardParseError) as info:
+        BoardDocument.from_text(text)
+    assert str(info.value) == "expected a list of entries, got str"
+
+
+def test_json_labels_parse_like_rows():
+    doc = BoardDocument.from_text('{"d": 2, "entries": [[1, 2], [3, 4]], '
+                                  '"lambda": ["1", 2], "mu": [0, "2"]}')
+    assert doc.col_labels == (1, 2) and doc.row_labels == (0, 2)

@@ -420,3 +420,15 @@ def test_cli_import_does_not_load_numpy():
 
 def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"entries": ["12", "34"]}', '{"entries": {"12": 1, "34": 2}}',
+    '{"entries": [[1, 2], "34"]}',
+], ids=["string-rows", "object-rows", "mixed-rows"])
+def test_verify_json_rows_that_are_not_arrays_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "rows.json"
+    path.write_text(text)
+    for cmd in ("verify", "decompose", "locate"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert (code, out, err) == (2, "", "error: expected a list of entries, got str\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gardner import duality, linalg
 from gardner.duality import (AffineSubspace, Permutation, birkhoff_hull,
                              compressed_check, dual_subspace, gale_pair_check,
                              gale_pair_from_recipe, gardner_hull,
@@ -297,3 +298,60 @@ def test_hull_point_outside_cube_is_not_a_board():
     assert min(point.flat()) == Fraction(-1, 2)
     assert not all(0 <= x <= 1 for x in point.flat())
     assert not is_g_matrix_fast(point)
+
+
+# ------------------------------------------- the duality checks' own rules
+
+def _line_sums_only(b: SquareMatrix) -> bool:
+    # is_doubly_stochastic without its nonnegativity clause
+    return all(sum(line) == 1 for line in (*b.rows, *zip(*b.rows)))
+
+
+def test_b_side_tells_a_signed_point_from_a_doubly_stochastic_one(monkeypatch):
+    # Line sums 1 with negative entries: it pairs to 1 with every R_i and C_j,
+    # so only the nonnegativity clause keeps it off the Birkhoff side.
+    signed = SquareMatrix(((2, -1), (-1, 2)))
+    monkeypatch.setattr(duality, "_random_convex_combination", lambda rng, d: signed)
+    assert gale_pair_check(2, 3).passed
+    monkeypatch.setattr(duality, "is_doubly_stochastic", _line_sums_only)
+    report = gale_pair_check(2, 3)
+    assert report.counterexample == f"B-side equivalence fails on {signed.rows}"
+
+
+def test_feasibility_needs_nonnegative_entries():
+    line = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
+    pair = gale_pair_from_recipe(line, sample_count=3)
+    assert all(linalg.dot(row, [3, -1]) == rhs for row, rhs in pair.p.equations)
+    assert not pair.p.is_feasible([3, -1])
+    assert pair.p.is_feasible([Fraction(3, 2), Fraction(1, 2)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_h_descriptions_have_one_equation_per_codimension(d):
+    for hull in (gardner_hull(d), birkhoff_hull(d)):
+        pair = gale_pair_from_recipe(hull, sample_count=1)
+        assert len(pair.p.equations) == d * d - hull.dim
+        assert len(pair.q.equations) == d * d - dual_subspace(hull).dim
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 0), (3, 5), (5, 10)])
+def test_gale_pair_check_sweeps_each_board_once(monkeypatch, d, n):
+    calls, sweep = [], duality.is_g_matrix_bruteforce
+
+    def counted(a, guard):
+        calls.append(a)
+        return sweep(a, guard)
+
+    monkeypatch.setattr(duality, "is_g_matrix_bruteforce", counted)
+    assert gale_pair_check(d, n).passed
+    assert len(calls) == 2 * d + 3 * n
+
+
+def test_a_bump_that_keeps_every_pairing_at_one_is_reported(monkeypatch):
+    # A sweep and a fast check that agree that every board pairs to 1: the
+    # G side passes, and the bumped board is caught by its own sweep result.
+    monkeypatch.setattr(duality, "is_g_matrix_bruteforce", lambda a, guard: 1)
+    monkeypatch.setattr(duality, "_has_g_value", lambda a: True)
+    report = gale_pair_check(2, 3)
+    assert report.samples_checked == 3
+    assert report.counterexample.startswith("+1 bump left every pairing at 1: ")

@@ -117,3 +117,9 @@ def test_integer_vector():
     assert linalg.integer_vector([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
     assert linalg.integer_vector([0.25, 1]) == ([1, 4], 4)
     assert linalg.integer_vector([]) == ([], 1)
+
+
+def test_dot_keeps_the_arithmetic_of_its_entries():
+    assert linalg.dot([1, 2], [3, 4]) == 11 and type(linalg.dot([1, 2], [3, 4])) is int
+    assert linalg.dot([Fraction(1, 2), 1], [3, Fraction(1, 3)]) == Fraction(11, 6)
+    assert linalg.dot([], []) == 0

@@ -1,0 +1,121 @@
+"""Input-rejection branches: each bad input raises its exception type with
+the message pinned here, and the edge cases next to them keep their values."""
+import os
+import re
+
+import pytest
+
+from gardner import linalg
+from gardner.boards import BoardDocument, BoardParseError
+from gardner.counting import FStarVector
+from gardner.duality import AffineSubspace, gale_pair_from_recipe
+from gardner.matrix import Labeling, SquareMatrix, compose
+from gardner.polytope import (Vertex, barycentric, cell_intersection, locate,
+                              triangulation_cells)
+
+
+def raises(exc, message):
+    return pytest.raises(exc, match=f"^{re.escape(message)}$")
+
+
+# ------------------------------------------------------------------ linalg
+
+def test_dot_rejects_vectors_of_different_lengths():
+    with raises(ValueError, "vector length mismatch"):
+        linalg.dot([1, 2], [1, 2, 3])
+
+
+def test_solve_unique_rejects_a_shape_mismatch():
+    with raises(ValueError, "system shape mismatch"):
+        linalg.solve_unique([[1, 0], [0, 1]], [1])
+
+
+def test_det_bareiss_rejects_a_non_square_matrix():
+    with raises(ValueError, "matrix is not square"):
+        linalg.det_bareiss([[1, 2, 3], [4, 5, 6]])
+
+
+def test_det_bareiss_without_a_pivot_is_zero():
+    assert linalg.det_bareiss([[0, 1], [0, 2]]) == 0
+
+
+# ------------------------------------------------------------------ matrix
+
+def test_square_matrix_sum_rejects_a_dimension_mismatch():
+    with raises(ValueError, "dimension mismatch"):
+        SquareMatrix.all_ones(2) + SquareMatrix.all_ones(3)
+
+
+@pytest.mark.parametrize("cols, rows", [((1, 2), (0,)), ((), ())], ids=["unequal", "empty"])
+def test_labeling_rejects_unequal_or_empty_labels(cols, rows):
+    with raises(ValueError, "need d >= 1 column labels and equally many row labels"):
+        Labeling(cols, rows)
+
+
+def test_labeling_d_is_the_number_of_column_labels():
+    assert Labeling((1, 2, 3), (0, 4, 5)).d == 3
+
+
+# ---------------------------------------------------------------- counting
+
+def test_f_star_vector_rejects_the_wrong_length():
+    with raises(ValueError, "expected 2d-1 entries"):
+        FStarVector(2, (1, 2))
+
+
+def test_f_star_vector_rejects_a_negative_entry():
+    with raises(ValueError, "entries must be nonnegative"):
+        FStarVector(2, (1, -1, 0))
+
+
+# ---------------------------------------------------------------- polytope
+
+def test_vertex_rejects_a_bad_kind():
+    with raises(ValueError, "kind must be 'R' or 'C', got 'X'"):
+        Vertex("X", 1, 2)
+
+
+def test_triangulation_cells_and_locate_reject_a_bad_omitted_kind():
+    with raises(ValueError, "omitted_kind must be 'R' or 'C', got 'X'"):
+        triangulation_cells(3, "X")
+    with raises(ValueError, "omitted_kind must be 'R' or 'C', got 'X'"):
+        locate(compose(Labeling((1, 2), (0, 3))), "X")
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (1, 4)])
+def test_cell_intersection_rejects_an_index_out_of_range(i, j):
+    with raises(ValueError, "cell index out of range"):
+        cell_intersection(i, j, 3)
+
+
+def test_barycentric_rejects_a_cell_of_another_d():
+    with raises(ValueError, "dimension mismatch"):
+        barycentric(compose(Labeling((1, 2), (0, 3))), triangulation_cells(3)[0])
+
+
+# ---------------------------------------------------------------- duality
+
+def test_subspace_rejects_a_direction_of_the_wrong_length():
+    with raises(ValueError, "direction length mismatch"):
+        AffineSubspace.from_point_and_directions([1, 2], [[1, 0, 0]])
+
+
+def test_feasibility_rejects_a_point_of_the_wrong_dimension():
+    line = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
+    with raises(ValueError, "point has wrong dimension"):
+        gale_pair_from_recipe(line, sample_count=1).p.is_feasible([1, 1, 0])
+
+
+# ------------------------------------------------------------------ boards
+
+def test_json_board_with_d_zero_is_rejected():
+    with raises(BoardParseError, "d must be >= 1"):
+        BoardDocument.from_json('{"d": 0, "entries": []}')
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_rejects_a_named_pipe_without_reading_it(tmp_path):
+    fifo = tmp_path / "board.fifo"
+    os.mkfifo(fifo)
+    with raises(BoardParseError, f"not a regular file: {str(fifo)!r}"):
+        BoardDocument.load(str(fifo))

@@ -37,6 +37,10 @@ BOARDS = {
     "big-value.txt": ("9" * 4300 + " " + "9" * 4300 + "\n") * 2,
     "long-junk.txt": "x" * 100_000 + "\n",
     "big-literal.json": '{"d": 2, "entries": [[' + "7" * 5000 + ', 1], [2, 3]]}',
+    "string-rows.json": '{"entries": ["12", "34"]}',
+    "object-rows.json": '{"entries": {"12": 1, "34": 2}}',
+    "mixed-rows.json": '{"entries": [[1, 2], "34"]}',
+    "string-lambda.json": '{"d": 2, "entries": [[1, 2], [3, 4]], "lambda": "12"}',
 }
 
 COMMANDS: list[tuple[dict, list[str]]] = [({}, []), ({}, ["--help"]), ({}, ["frobnicate"])]
