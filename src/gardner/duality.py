@@ -20,11 +20,11 @@ an involution with dim L + dim L-dagger = D - 1. Whenever q > 0 entrywise,
 intersecting L and L-dagger with the nonnegative orthant produces a Gale-dual
 pair. The checks are exact, over integers with one common denominator.
 
-Both polytopes are Gorenstein of index d (the all-ones matrix J is the unique
-interior lattice point of the d-th dilate, and subtracting J retracts the
-interior of the N-th dilate onto the (N-d)-th) and compressed (each equals
-the intersection of the unit cube with its affine hull); checkers for both
-properties are included.
+Both polytopes are Gorenstein of index d and compressed. gorenstein_check
+proves, by enumeration for d <= N <= n_max, that subtracting the all-ones J
+maps the interior lattice points of the N-th dilate onto those of the
+(N-d)-th (at N = d: J is the only interior point). compressed_check proves
+the Gardner vertices are 0/1 and tests cube ∩ hull = polytope near J/d only.
 """
 from __future__ import annotations
 
@@ -94,8 +94,7 @@ def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
 
 
 def _has_g_value(a: SquareMatrix, value: Scalar = 1) -> bool:
-    check = is_g_matrix_fast(a)
-    return bool(check) and check.value == value
+    return is_g_matrix_fast(a).value == value  # None on a failed check
 
 
 def _bounded_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
@@ -122,9 +121,9 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
     (a) every vertex-vertex pairing <R_i or C_j, P_s> equals 1 exactly, over
     all d! permutations; (b) on random rational matrices, pairing to 1
     against every P_s (the d!-placement rook-sum check at value 1) is
-    equivalent to the fast value-1 G-check, and row/col sums 1 + nonnegativity
-    is equivalent to pairing to 1 against every R_i and C_j; samples include
-    true points, perturbed points, noise, and mixes of d+1 permutation matrices.
+    equivalent to the fast value-1 G-check, and HDescription feasibility
+    against every R_i and C_j to is_doubly_stochastic. Samples are true
+    points, perturbed points, noise, and mixes of d+1 permutation matrices.
     """
     _check_d_value(d)
     if sample_count < 0:
@@ -133,7 +132,7 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
     rng = random.Random(seed)
     g_vertices = [vertex_matrix(v) for v in all_vertices(d)]
-    vertex_entries = [v.flat() for v in g_vertices]
+    pairs_to_one = HDescription(d * d, tuple((v.flat(), 1) for v in g_vertices))
 
     vertex_pairings = 0
     for v in g_vertices:
@@ -165,10 +164,7 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
                                   f"+1 bump left every pairing at 1: {bumped.rows}")
         for b in (noise, stochastic_point, bumped):
             samples += 1
-            nums, den = linalg.integer_vector(b.flat())  # <b, v> = 1 over the integers
-            by_pairing = all(n >= 0 for n in nums) and \
-                all(linalg.dot(nums, v) == den for v in vertex_entries)
-            if by_pairing != is_doubly_stochastic(b):
+            if pairs_to_one.is_feasible(b.flat()) != is_doubly_stochastic(b):
                 return GalePairReport(d, vertex_pairings, samples,
                                       f"B-side equivalence fails on {b.rows}")
     return GalePairReport(d, vertex_pairings, samples, None)
@@ -260,18 +256,18 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
 
 @dataclass(frozen=True)
 class HDescription:
-    """Nonnegative orthant cut by integer equations <row, x> = rhs, i.e. <row / rhs, x> = 1."""
+    """Nonnegative orthant cut by integer equations <row, x> = rhs, i.e. <row / rhs, x> = 1:
+    the one orthant-pairing test, for the recipe's pairs and gale_pair_check's B side."""
 
     ambient: int
     equations: tuple[tuple[tuple[int, ...], int], ...]
 
     def is_feasible(self, point: Sequence) -> bool:
-        x = linalg.to_vec(point)
+        x, den = linalg.integer_vector(point)  # point = x / den, so <coeffs, x> = rhs * den
         if len(x) != self.ambient:
             raise ValueError("point has wrong dimension")
-        if any(v < 0 for v in x):
-            return False
-        return all(linalg.dot(coeffs, x) == rhs for coeffs, rhs in self.equations)
+        return all(v >= 0 for v in x) and \
+            all(linalg.dot(coeffs, x) == rhs * den for coeffs, rhs in self.equations)
 
 
 @dataclass(frozen=True)
@@ -282,17 +278,13 @@ class GaleDualPair:
 
 
 def _sample_nonneg_point(rng: random.Random, sub: AffineSubspace) -> tuple[Fraction, ...]:
-    # q is strictly positive, so shrinking a random direction offset far
-    # enough always lands in the orthant.
+    # q is strictly positive, so the longest step t <= 1 along a random
+    # direction offset that stays in the orthant is positive.
     coeffs = [_bounded_fraction(rng, -3, 3) for _ in sub.basis]
     offset = [sum((c * b[k] for c, b in zip(coeffs, sub.basis)), Fraction(0))
               for k in range(sub.ambient)]
-    for _ in range(64):
-        candidate = tuple(qx + ox for qx, ox in zip(sub.q, offset))
-        if all(x >= 0 for x in candidate):
-            return candidate
-        offset = [ox / 2 for ox in offset]
-    return sub.q
+    t = min([Fraction(1)] + [qx / -ox for qx, ox in zip(sub.q, offset) if ox < 0])
+    return tuple(qx + t * ox for qx, ox in zip(sub.q, offset))
 
 
 def gale_pair_from_recipe(sub: AffineSubspace, sample_count: int = 20,
@@ -357,20 +349,20 @@ class GorensteinReport:
 def gorenstein_check(d: int, n_max: int, budget: int | None = None) -> GorensteinReport:
     """Verify the index-d Gorenstein property by enumeration.
 
-    The d-th dilate must have J as its only interior lattice point, and for
-    d <= N <= n_max subtracting J must biject interior lattice points of the
-    N-th dilate onto all lattice points of the (N-d)-th dilate.
+    For d <= N <= n_max, subtracting J must map the interior lattice points of
+    the N-th dilate onto the lattice points of the (N-d)-th, in sweep order; at
+    N = d that says J is the only interior point (checked for any n_max).
     """
-    j_flat = tuple([1] * (d * d))
-    interior_at_d = list(iter_g_matrices_flat(d, d, 1, budget))
-    unique_j = interior_at_d == [j_flat]
-    results = []
-    for value in range(d, n_max + 1):
-        interior = set(iter_g_matrices_flat(d, value, 1, budget))
-        shifted = {tuple(x - 1 for x in t) for t in interior}
-        target = set(iter_g_matrices_flat(d, value - d, 0, budget))
-        results.append((value, shifted == target))
-    return GorensteinReport(d, unique_j, tuple(results))
+    def bijects(value: int) -> bool:
+        # Both sweeps are row-major and subtracting J keeps that order.
+        interior = iter_g_matrices_flat(d, value, 1, budget)
+        shifted = [tuple(x - 1 for x in t) for t in interior]
+        return shifted == list(iter_g_matrices_flat(d, value - d, 0, budget))
+
+    unique_j = bijects(d)  # interior(d) - J = {0} exactly when interior(d) = {J}
+    results = tuple((value, unique_j if value == d else bijects(value))
+                    for value in range(d, n_max + 1))
+    return GorensteinReport(d, unique_j, results)
 
 
 @dataclass(frozen=True)

@@ -382,6 +382,17 @@ def test_roots_rejects_bad_tolerance(tol):
         roots_check(5, tol=tol)
 
 
+def test_roots_overlapping_brackets_certify_nothing(monkeypatch):
+    # Two roots given the same bracket: no root is certified, so every
+    # bracket root is unclassified and the check fails.
+    from gardner import counting
+    monkeypatch.setattr(counting, "_bracket", lambda d, theta, tol: (1.5, (1.0, 2.0)))
+    report = roots_check(4)
+    assert report.labels == ("negative-integer",) * 3 + ("unclassified",) * 3
+    assert report.roots[3:] == (complex(-2, -1.5), complex(-2, 1.5), complex(-2, 1.5))
+    assert not report.passed
+
+
 def test_roots_pass_for_every_d_up_to_100():
     failing = [d for d in range(2, 101) if not roots_check(d).passed]
     assert failing == []

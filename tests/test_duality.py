@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -355,3 +356,129 @@ def test_a_bump_that_keeps_every_pairing_at_one_is_reported(monkeypatch):
     report = gale_pair_check(2, 3)
     assert report.samples_checked == 3
     assert report.counterexample.startswith("+1 bump left every pairing at 1: ")
+
+
+# ------------------------------------------------ failure branches, reached
+
+def test_gale_pair_check_reports_a_vertex_that_misses_a_pairing(monkeypatch):
+    monkeypatch.setattr(duality, "is_g_matrix_bruteforce", lambda a, guard: 2)
+    report = gale_pair_check(3, 5)
+    first = vertex_matrix(all_vertices(3)[0])
+    assert report.vertex_pairings_checked == math.factorial(3)
+    assert report.samples_checked == 0
+    assert report.counterexample == f"vertex {first!r} does not pair to 1 with every P_s"
+
+
+def test_gale_pair_check_reports_a_g_side_disagreement(monkeypatch):
+    # The noise board fails both checks; the scaled trick board, the second
+    # sample, pairs to 1 with every P_s while the patched fast check says no.
+    monkeypatch.setattr(duality, "_has_g_value", lambda a: False)
+    report = gale_pair_check(3, 5)
+    assert report.samples_checked == 2
+    assert report.counterexample.startswith("G-side equivalence fails on ")
+
+
+def test_recipe_reports_samples_that_do_not_pair_to_one(monkeypatch):
+    monkeypatch.setattr(duality, "_sample_nonneg_point",
+                        lambda rng, sub: tuple(2 * x for x in sub.q))
+    line = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
+    with pytest.raises(AssertionError, match="^recipe sampling check failed$"):
+        gale_pair_from_recipe(line, sample_count=1)
+
+
+def test_recipe_reports_a_sample_outside_its_own_side(monkeypatch):
+    # (3, -1) lies on the line x + y = 2 and pairs to 1 with its dual point
+    # (1/2, 1/2), so only the nonnegativity of P's description rejects it.
+    signed = (Fraction(3), Fraction(-1))
+    monkeypatch.setattr(duality, "_sample_nonneg_point",
+                        lambda rng, sub: signed if sub.dim else sub.q)
+    line = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
+    with pytest.raises(AssertionError, match="^sampled point infeasible for its own side$"):
+        gale_pair_from_recipe(line, sample_count=1)
+
+
+def test_compressed_check_reports_a_vertex_off_the_cube(monkeypatch):
+    # Doubled vertices span the same hull directions, so only the 0/1 test fails.
+    monkeypatch.setattr(duality, "vertex_matrix", lambda v: vertex_matrix(v).scaled(2))
+    report = compressed_check(2, sample_count=10, seed=1)
+    assert report.violations == tuple(f"vertex {v} is not a 0/1 point" for v in all_vertices(2))
+    assert not report.passed
+
+
+# ------------------------------------------------ one rule per predicate
+
+@pytest.mark.parametrize("d, n", [(1, 0), (1, 4), (2, 1), (2, 2), (2, 6), (3, 2), (3, 5)])
+def test_gorenstein_sweeps_each_dilate_once(monkeypatch, d, n):
+    calls, sweep = [], duality.iter_g_matrices_flat
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(duality, "iter_g_matrices_flat", counted)
+    assert gorenstein_check(d, n).passed
+    assert len(calls) == (2 * (n - d + 1) if n >= d else 2)
+
+
+@pytest.mark.parametrize("edit", [lambda b: b + b[:1], lambda b: b[1:]],
+                         ids=["repeated", "dropped"])
+def test_gorenstein_catches_an_edited_interior(monkeypatch, edit):
+    # The interior sweep at N = d + 1 goes through edit; every other sweep is as is.
+    d, sweep = 2, duality.iter_g_matrices_flat
+
+    def patched(d_, value, min_entry=0, budget=None):
+        boards = sweep(d_, value, min_entry, budget)
+        return edit(list(boards)) if (value, min_entry) == (d + 1, 1) else boards
+
+    monkeypatch.setattr(duality, "iter_g_matrices_flat", patched)
+    report = gorenstein_check(d, d + 2)
+    assert report.translation_bijections == ((d, True), (d + 1, False), (d + 2, True))
+    assert report.unique_interior_point_is_j and not report.passed
+
+
+def test_sampler_steps_exactly_to_the_orthant():
+    # The sample is q + t * offset for the largest t <= 1 that stays >= 0:
+    # the full offset when it stays in the orthant, else a boundary point.
+    shrunk = 0
+    for sub in (birkhoff_hull(3), gardner_hull(4)):
+        for seed in range(200):
+            x = duality._sample_nonneg_point(random.Random(seed), sub)
+            rng = random.Random(seed)
+            coeffs = [duality._bounded_fraction(rng, -3, 3) for _ in sub.basis]
+            full = [qx + sum(c * b[k] for c, b in zip(coeffs, sub.basis))
+                    for k, qx in enumerate(sub.q)]
+            assert min(x) >= 0 and sub.contains(x)
+            if min(full) < 0:
+                shrunk += 1
+                assert min(x) == 0
+            else:
+                assert list(x) == full
+    assert shrunk > 0
+
+
+def _feasible_by_fractions(h, point):
+    # Fraction arithmetic, kept only as the reference for HDescription.is_feasible.
+    x = [Fraction(v) for v in point]
+    return all(v >= 0 for v in x) and \
+        all(sum(c * v for c, v in zip(coeffs, x)) == rhs for coeffs, rhs in h.equations)
+
+
+def test_feasibility_matches_fraction_arithmetic():
+    rng = random.Random(16)
+    kinds = Counter()
+    for d in (2, 3):
+        for hull in (gardner_hull(d), birkhoff_hull(d)):
+            pair = gale_pair_from_recipe(hull, sample_count=1)
+            points = [[1] * (d * d), [Fraction(1, d)] * (d * d), [1 / d] * (d * d)]
+            points += [flat(vertex_matrix(v)) for v in all_vertices(d)]
+            points += [flat(permutation_matrix(s)) for s in permutations_of(d)]
+            points += [[rng.choice([0, 1, -1, Fraction(1, d), 0.5, 0.25, 0.1])
+                        for _ in range(d * d)] for _ in range(40)]
+            for point in points:
+                for h in (pair.p, pair.q):
+                    got = h.is_feasible(point)
+                    assert got == _feasible_by_fractions(h, point), point
+                    kinds[got] += 1
+            with pytest.raises(ValueError, match="wrong dimension"):
+                pair.p.is_feasible([1] * (d * d + 1))
+    assert kinds[True] > 20 and kinds[False] > 100
