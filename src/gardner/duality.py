@@ -244,8 +244,8 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
     q, dq = linalg.integer_vector(sub.q)  # q/|q|^2 = dq * q / (q . q) over the integers
     norm_sq = sum(x * x for x in q)
     q_dual = tuple(Fraction(dq * x, norm_sq) for x in q)
-    reduced, _ = linalg.rref(linalg.nullspace(list(sub.basis) + [sub.q], sub.ambient))
-    result = AffineSubspace(sub.ambient, q_dual, tuple(map(tuple, reduced)))
+    directions = linalg.nullspace(list(sub.basis) + [sub.q], sub.ambient)  # already RREF
+    result = AffineSubspace(sub.ambient, q_dual, tuple(directions))
     if any(linalg.dot(b, q) for b, _ in map(linalg.integer_vector, result.basis)):
         raise AssertionError("dual directions are not orthogonal to the base point")
     pairs = itertools.product(sub.spanning_points(), result.spanning_points())

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Row reduction, rank, null spaces, unique solves, and an integer determinant.
-``rref`` clears each row to integers once (``integer_vector``), cross-multiplies
-and divides each new row by its gcd; ``det_bareiss`` is Bareiss's fraction-free
-elimination (Math. Comp. 1968). Rows may hold anything ``Fraction`` accepts,
-floats read exactly; ``dot`` takes ints and Fractions. Nothing here rounds.
+Row reduction, rank, null spaces, unique solves, and an integer determinant,
+all from one kernel: ``_eliminate`` runs fraction-free Gauss-Jordan on integer
+rows (Bareiss, Math. Comp. 1968), so every entry stays a minor of the input.
+``rref`` clears each row to integers once (``integer_vector``) and divides by
+the pivots at the end; ``det_bareiss`` reads the last pivot. Rows may hold
+anything ``Fraction`` accepts, floats read exactly; ``dot`` takes ints and
+Fractions. Nothing here rounds.
 """
 from __future__ import annotations
 
@@ -34,35 +36,38 @@ def integer_vector(xs: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.
-
-    Returns the nonzero reduced rows and the list of pivot column indices.
-    Works on rows of coprime integers and divides by the pivots at the end.
-    """
-    m = [integer_vector(row)[0] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _eliminate(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place: at each pivot p
+    every other row becomes (p * row - f * pivot_row) // prev, exact since
+    every entry stays a minor. The pivot rows come first and each ends with
+    the last pivot on its pivot column. Returns the pivot columns, the sign
+    of the row swaps and the last pivot (1 when there is none)."""
+    if len({len(row) for row in m}) > 1:
+        raise ValueError("rows have different lengths")
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    sign = prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         top, p = m[r], m[r][c]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f != 0:
-                g = math.gcd(p, f)
-                row = [(p // g) * a - (f // g) * b for a, b in zip(m[i], top)]
-                h = math.gcd(*row)
-                m[i] = [x // h for x in row] if h > 1 else row
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and (f or p != prev):  # else the row is unchanged
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+        prev = p
+    return pivots, sign, prev
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form: the nonzero reduced rows and the pivot columns."""
+    m = [integer_vector(row)[0] for row in rows]
+    pivots, _, _ = _eliminate(m)
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
 
 
@@ -71,13 +76,18 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
-    """Canonical basis of {x : rows @ x = 0}, free columns in ascending order."""
-    reduced, pivots = rref(rows)
+    """Basis of {x : rows @ x = 0} in reduced row echelon form: the rows are
+    reduced with their columns reversed, so the vector of free column f is 1
+    at f and 0 at every other free column and before f."""
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("row length differs from ncols")
+    reduced, pivots = rref([row[::-1] for row in rows])
+    solved = {ncols - 1 - c: row[::-1] for row, c in zip(reduced, pivots)}
     basis: list[Vec] = []
-    for free in (c for c in range(ncols) if c not in pivots):
+    for free in (c for c in range(ncols) if c not in solved):
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
+        for p, row in solved.items():
             v[p] = -row[free]
         basis.append(tuple(v))
     return basis
@@ -102,25 +112,11 @@ def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> Vec | None:
 
 
 def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix via fraction-free elimination."""
+    """Exact determinant of an integer matrix: the signed last pivot, or 0 below full rank."""
     n = len(rows)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    m = [[int(x) for x in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise TypeError("det_bareiss needs int entries")
+    pivots, sign, last = _eliminate([list(row) for row in rows])
+    return sign * last if len(pivots) == n else 0

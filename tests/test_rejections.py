@@ -2,6 +2,7 @@
 the message pinned here, and the edge cases next to them keep their values."""
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,26 @@ def test_det_bareiss_rejects_a_non_square_matrix():
 
 def test_det_bareiss_without_a_pivot_is_zero():
     assert linalg.det_bareiss([[0, 1], [0, 2]]) == 0
+
+
+@pytest.mark.parametrize("rows", [[[1], [3, 4]], [[1, 2], [3]]], ids=["short-first", "short-last"])
+def test_row_reduction_rejects_rows_of_different_lengths(rows):
+    for reduce in (linalg.rref, linalg.rank):
+        with raises(ValueError, "rows have different lengths"):
+            reduce(rows)
+    with raises(ValueError, "rows have different lengths"):
+        linalg.solve_unique(rows, [1, 2])
+
+
+def test_nullspace_rejects_rows_whose_length_is_not_ncols():
+    with raises(ValueError, "row length differs from ncols"):
+        linalg.nullspace([[1, 2, 3]], 2)
+
+
+@pytest.mark.parametrize("rows", [[[Fraction(1, 2)]], [[0.5, 0], [0, 2]]], ids=["fraction", "float"])
+def test_det_bareiss_rejects_entries_that_are_not_int(rows):
+    with raises(TypeError, "det_bareiss needs int entries"):
+        linalg.det_bareiss(rows)
 
 
 # ------------------------------------------------------------------ matrix
