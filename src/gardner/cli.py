@@ -6,6 +6,7 @@ variable overrides the default brute-force candidate ceiling; the sweep counts
 its first-row and first-column candidates, (N+1)^(2d-1). A budget that is not
 a nonnegative integer exits 2. main reads a board file once, under the int
 digit limit, then lifts the limit, so values of any size print exactly.
+boards and matrix load at import; each cmd_x imports any other module it runs.
 """
 from __future__ import annotations
 
@@ -15,13 +16,10 @@ import os
 import random
 import sys
 
-from . import counting, duality
 from .boards import (BoardDocument, board_json_payload, format_addition_table,
                      format_board_text)
-from .counting import BudgetExceededError
-from .matrix import (FactorialGuardError, GMatrix, SquareMatrix, decompose_canonical,
-                     is_g_matrix_fast, trick_generate)
-from .polytope import locate
+from .matrix import (BudgetExceededError, FactorialGuardError, GMatrix, SquareMatrix,
+                     decompose_canonical, is_g_matrix_fast, trick_generate)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -83,6 +81,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from . import counting
     which = ["1", "2", "3"] if args.formula == "all" else [args.formula]
     values = {k: getattr(counting, f"g_formula_{k}")(args.d, args.value) for k in which}
     text = ", ".join(str(values[k]) for k in which)
@@ -97,12 +96,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
+    from . import counting
     poly = counting.interpolate(args.d)
     _emit(poly.to_json_dict(), args.json, poly.pretty())
     return EXIT_OK
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
+    from . import counting
     report = counting.roots_check(args.d, args.tol)
     lines = [f"{r.real:+.9f} {r.imag:+.9f}i  {label}"
              for r, label in zip(report.roots, report.labels)]
@@ -123,6 +124,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
+    from .polytope import locate
     g = _as_g_matrix(args.board)
     if g is None:
         return EXIT_CHECK_FAILED
@@ -132,6 +134,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 
 def cmd_duality(args: argparse.Namespace) -> int:
+    from . import duality
     print(f"seed: {args.seed}", file=sys.stderr)
     report = duality.gale_pair_check(args.d, args.samples, args.seed)
     _emit({"d": report.d,

@@ -29,14 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .matrix import Scalar, _check_d_value, _composition_from_bars
+from .matrix import BudgetExceededError, Scalar, _check_d_value, _composition_from_bars
 
 #: Default ceiling on brute-force candidate counts.
 DEFAULT_BUDGET = 10 ** 8
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed its candidate budget."""
 
 
 def binom(n: int, k: int) -> int:
@@ -330,7 +326,8 @@ def _bracket(d: int, theta: float, tol: float) -> tuple[float, tuple[float, floa
     a = [d / 2 + j for j in range(d)]
     t, step = d / 2 * math.tan(theta / d), math.inf
     while step > 2 * math.ulp(t):
-        step = (theta - sum(math.atan(t / x) for x in a)) / sum(x / (x * x + t * t) for x in a)
+        step = theta - math.fsum(math.atan(t / x) for x in a)  # same digits on every Python
+        step /= math.fsum(x / (x * x + t * t) for x in a)
         t += step
     sign, near, far, step = _line_sign(d, t), t, None, 128 * math.ulp(t)
     if sign == 0:

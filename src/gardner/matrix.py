@@ -39,6 +39,10 @@ class FactorialGuardError(ValueError):
     """Raised when a check over all d! placements would exceed the configured guard."""
 
 
+class BudgetExceededError(RuntimeError):
+    """Raised when an enumeration would exceed its candidate budget."""
+
+
 @dataclass(frozen=True)
 class SquareMatrix:
     """An immutable d-by-d matrix of exact scalars, 1-based accessors."""

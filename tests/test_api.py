@@ -4,6 +4,9 @@ A simplification must not drop a public name or an option silently; a
 deliberate change to either updates the snapshot here.
 """
 import argparse
+import importlib
+
+import pytest
 
 import gardner
 from gardner.cli import build_parser
@@ -49,6 +52,31 @@ def _arguments(parser: argparse.ArgumentParser) -> list:
 
 def test_public_names_are_unchanged():
     assert sorted(gardner.__all__) == PUBLIC_NAMES
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    # The package loads a submodule on first use of a name and then binds the name.
+    modules = {m: importlib.import_module(f"gardner.{m}")
+               for m in ("boards", "counting", "duality", "linalg", "matrix", "polytope")}
+    for name in gardner.__all__:
+        value = getattr(gardner, name)
+        assert vars(gardner)[name] is value
+        homes = [modules[name]] if name in modules else [
+            vars(m)[name] for m in modules.values() if name in vars(m)]
+        assert homes and all(home is value for home in homes), name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from gardner import *", namespace)
+    assert all(namespace[name] is getattr(gardner, name) for name in gardner.__all__)
+    assert set(gardner.__all__) <= set(dir(gardner))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        gardner.no_such_name
+    assert not hasattr(gardner, "Scalar")  # defined in matrix, but not public
 
 
 def test_cli_arguments_are_unchanged():

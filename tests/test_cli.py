@@ -410,12 +410,26 @@ def test_duality_d_below_one_is_usage_error(capsys, args):
     assert code == 2 and "passed" not in out and "d must be >= 1" in err
 
 
-def test_cli_import_does_not_load_numpy():
+STARTUP = {"gardner", "gardner.boards", "gardner.cli", "gardner.linalg", "gardner.matrix"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["trick", "3", "10", "--seed", "1"], STARTUP),
+    (["verify", "{board}"], STARTUP),
+    (["locate", "{board}"], STARTUP | {"gardner.polytope"}),
+    (["count", "2", "3"], STARTUP | {"gardner.counting"}),
+    (["duality", "2", "--samples", "2"],
+     STARTUP | {"gardner.counting", "gardner.duality", "gardner.polytope"}),
+], ids=["trick", "verify", "locate", "count", "duality"])
+def test_subcommand_loads_only_the_modules_it_runs(example_file, argv, loaded):
+    # A fresh process: sys.modules then holds what this one subcommand imported.
     src = Path(gardner.__file__).resolve().parents[1]
-    probe = "import sys, gardner.cli; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            cwd=src, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+    probe = ("import sys; from gardner.cli import main; main(sys.argv[1:]); print(sorted("
+             "m for m in sys.modules if m.partition('.')[0] in ('gardner', 'numpy')))")
+    argv = [arg.format(board=example_file) for arg in argv]
+    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                            text=True, cwd=src, timeout=60, check=True)
+    assert result.stdout.splitlines()[-1] == str(sorted(loaded))
 
 
 def test_unknown_command(capsys):

@@ -426,6 +426,13 @@ def test_roots_match_known_values():
     assert abs(roots_check(40).roots[-1].imag - 501.6312) < 1e-4
 
 
+def test_roots_digits_do_not_depend_on_the_interpreter():
+    # The Newton sums are correctly rounded (math.fsum), so every Python
+    # prints these digits; a plain sum() rounds differently before 3.12.
+    upper = [1.3542471158720966, 4.551683191586121, 9.736867187020389, 23.10068423780798]
+    assert [r.imag for r in roots_check(9).roots[8:]] == [-t for t in upper[::-1]] + upper
+
+
 # ------------------------------------------ Lagrange interpolation as oracle
 
 def _lagrange(d):
