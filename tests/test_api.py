@@ -55,7 +55,7 @@ def test_public_names_are_unchanged():
 
 
 def test_public_names_resolve_to_their_submodule_objects():
-    # The package loads a submodule on first use of a name and then binds the name.
+    # counting, polytope and duality load on first use of a name, which is then bound.
     modules = {m: importlib.import_module(f"gardner.{m}")
                for m in ("boards", "counting", "duality", "linalg", "matrix", "polytope")}
     for name in gardner.__all__:

@@ -427,8 +427,11 @@ def test_roots_match_known_values():
 
 
 def test_roots_digits_do_not_depend_on_the_interpreter():
-    # The Newton sums are correctly rounded (math.fsum), so every Python
-    # prints these digits; a plain sum() rounds differently before 3.12.
+    # The Newton sums are correctly rounded (math.fsum), so the sum no longer
+    # depends on the Python version (a plain sum() rounds differently before
+    # 3.12). The terms still come from libm's atan and tan, which are not
+    # correctly rounded: these digits are pinned for CPython on glibc, the
+    # platform of the CI matrix.
     upper = [1.3542471158720966, 4.551683191586121, 9.736867187020389, 23.10068423780798]
     assert [r.imag for r in roots_check(9).roots[8:]] == [-t for t in upper[::-1]] + upper
 
