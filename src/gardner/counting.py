@@ -93,6 +93,10 @@ def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
     lexicographic order; min_entry=1 gives the interior lattice points.
     Raises BudgetExceededError at the call if the sweep is too large.
     """
+    return _sweep(d, value, min_entry, _sweep_range(d, value, min_entry, budget))
+
+
+def _sweep_range(d: int, value: int, min_entry: int, budget: int | None) -> range:
     _check_d_value(d, value)
     entry_range = range(min_entry, value + 1)
     candidates = len(entry_range) ** (2 * d - 1)
@@ -102,7 +106,7 @@ def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
     if candidates > limit:
         raise BudgetExceededError(
             f"{candidates} candidates exceed the budget {limit}")
-    return _sweep(d, value, min_entry, entry_range)
+    return entry_range
 
 
 def _sweep(d: int, value: int, min_entry: int, entry_range: range) -> Iterator[tuple[int, ...]]:

@@ -18,7 +18,9 @@ q orthogonal to U and q != 0, the set of y pairing to 1 against all of L is
 
 an involution with dim L + dim L-dagger = D - 1. Whenever q > 0 entrywise,
 intersecting L and L-dagger with the nonnegative orthant produces a Gale-dual
-pair. The checks are exact, over integers with one common denominator.
+pair. The checks are exact, over integers with one common denominator: the
+board predicates (is_doubly_stochastic on the B side, the value-N G-check on
+the other) clear a board to n / D once and compare n with the target times D.
 
 Both polytopes are Gorenstein of index d and compressed. gorenstein_check
 proves, by enumeration for d <= N <= n_max, that subtracting the all-ones J
@@ -28,6 +30,7 @@ the Gardner vertices are 0/1 and tests cube ∩ hull = polytope near J/d only.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -36,7 +39,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import linalg
-from .counting import iter_g_matrices_flat
+from .counting import _sweep_range, iter_g_matrices_flat
 from .matrix import (FACTORIAL_GUARD, FactorialGuardError, Scalar, SquareMatrix,
                      _check_d_value, is_g_matrix_bruteforce, is_g_matrix_fast, scale,
                      trick_generate)
@@ -82,8 +85,18 @@ def is_doubly_stochastic(b: SquareMatrix) -> bool:
     return _has_line_sums(b, 1)
 
 
+def _integer_board(b: SquareMatrix) -> tuple[SquareMatrix, int]:
+    # The board as integers n over one denominator D (b = n / D); integer boards as given
+    if all(type(x) is int for row in b.rows for x in row):
+        return b, 1
+    nums, den = linalg.integer_vector(b.flat())
+    return SquareMatrix(tuple(nums[k:k + b.d] for k in range(0, len(nums), b.d))), den
+
+
 def _has_line_sums(b: SquareMatrix, total: Scalar) -> bool:
-    return b.is_nonnegative() and all(sum(line) == total for line in (*b.rows, *zip(*b.rows)))
+    n, den = _integer_board(b)
+    target = total * den
+    return n.is_nonnegative() and all(sum(line) == target for line in (*n.rows, *zip(*n.rows)))
 
 
 def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
@@ -94,7 +107,8 @@ def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
 
 
 def _has_g_value(a: SquareMatrix, value: Scalar = 1) -> bool:
-    return is_g_matrix_fast(a).value == value  # None on a failed check
+    n, den = _integer_board(a)  # a = n / D has value N exactly when n has value N * D
+    return is_g_matrix_fast(n).value == value * den  # None on a failed check
 
 
 def _bounded_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
@@ -224,9 +238,14 @@ class AffineSubspace:
 
     def spanning_points(self) -> list[tuple[list[int], int]]:
         """q and q + b for each basis direction b, as integers over one denominator."""
-        q, dq = linalg.integer_vector(self.q)
-        return [(q, dq)] + [([x * db + y * dq for x, y in zip(q, b)], dq * db)
-                            for b, db in map(linalg.integer_vector, self.basis)]
+        (q, dq), *basis = self._cleared
+        return [(list(q), dq)] + [([x * db + y * dq for x, y in zip(q, b)], dq * db)
+                                  for b, db in basis]  # fresh lists: the clear is shared
+
+    @functools.cached_property
+    def _cleared(self) -> list[tuple[list[int], int]]:
+        # q, then each direction, over its own denominator; not a field, so == and hash skip it
+        return [linalg.integer_vector(v) for v in (self.q, *self.basis)]
 
 
 def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
@@ -239,14 +258,14 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
     verified on spanning sets, over the integers, before returning; applying
     it twice returns the original subspace.
     """
-    if all(x == 0 for x in sub.q):
+    (q, dq), *basis = sub._cleared  # q/|q|^2 = dq * q / (q . q) over the integers
+    if not any(q):
         raise ValueError("subspace contains the origin; its dual is empty")
-    q, dq = linalg.integer_vector(sub.q)  # q/|q|^2 = dq * q / (q . q) over the integers
     norm_sq = sum(x * x for x in q)
     q_dual = tuple(Fraction(dq * x, norm_sq) for x in q)
-    directions = linalg.nullspace(list(sub.basis) + [sub.q], sub.ambient)  # already RREF
+    directions = linalg.nullspace([b for b, _ in basis] + [q], sub.ambient)  # already RREF
     result = AffineSubspace(sub.ambient, q_dual, tuple(directions))
-    if any(linalg.dot(b, q) for b, _ in map(linalg.integer_vector, result.basis)):
+    if any(linalg.dot(b, q) for b, _ in result._cleared[1:]):
         raise AssertionError("dual directions are not orthogonal to the base point")
     pairs = itertools.product(sub.spanning_points(), result.spanning_points())
     if any(linalg.dot(x, y) != dx * dy for (x, dx), (y, dy) in pairs):
@@ -352,7 +371,11 @@ def gorenstein_check(d: int, n_max: int, budget: int | None = None) -> Gorenstei
     For d <= N <= n_max, subtracting J must map the interior lattice points of
     the N-th dilate onto the lattice points of the (N-d)-th, in sweep order; at
     N = d that says J is the only interior point (checked for any n_max).
+    Raises BudgetExceededError at the call when the largest sweep, the
+    interior of dilate max(d, n_max), is over the budget.
     """
+    _sweep_range(d, max(d, n_max), 1, budget)
+
     def bijects(value: int) -> bool:
         # Both sweeps are row-major and subtracting J keeps that order.
         interior = iter_g_matrices_flat(d, value, 1, budget)
@@ -398,20 +421,21 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
     for hull, predicate, name in (
             (gardner_hull(d), _has_g_value, "value-1 G-check"),
             (birkhoff_hull(d), _has_line_sums, "doubly stochastic check")):
-        q, dq = linalg.integer_vector(hull.q)
+        (q, dq), *cleared = hull._cleared
         basis = [([(k, x) for k, x in enumerate(b) if x], db)  # nonzero entries of b / db
-                 for b, db in map(linalg.integer_vector, hull.basis)]
+                 for b, db in cleared]
         for _ in range(sample_count):
             samples += 1
-            # jitter r / m / (4d), drawn as _bounded_fraction(rng, -1, 1) / (4d) draws it
-            draws = [(rng.randint(-1, 1), rng.randint(1, 1000)) for _ in basis]
+            # jitter r / m / (4d), the draws of _bounded_fraction(rng, -1, 1) / (4d):
+            # randint(a, b) is a + randrange(b - a + 1), from one _randbelow call
+            draws = [(rng.randrange(3) - 1, rng.randrange(1000) + 1) for _ in basis]
             terms = [(r, 4 * d * m * db, b) for (r, m), (b, db) in zip(draws, basis) if r]
             den = math.lcm(dq, *(dc for _, dc, _ in terms))
             point = [x * (den // dq) for x in q]
             for r, dc, b in terms:
                 for k, x in b:
                     point[k] += r * (den // dc) * x
-            if not all(0 <= x <= den for x in point):  # the unit cube, over the integers
+            if min(point) < 0 or max(point) > den:  # outside the unit cube, over the integers
                 continue
             inside += 1
             board = SquareMatrix(tuple(point[i:i + d] for i in range(0, d * d, d)))

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
+_ZERO = Fraction(0)  # the one zero entry of every rref and nullspace row
 
 
 def to_vec(xs: Sequence) -> Vec:
@@ -31,9 +32,13 @@ def dot(u: Sequence, v: Sequence) -> int | Fraction:
 
 def integer_vector(xs: Sequence) -> tuple[list[int], int]:
     """Integers n_k and a denominator D > 0 with n_k / D == xs[k]."""
-    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
-    den = math.lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (den // x.denominator) for x in fracs], den
+    if all(type(x) is int for x in xs):
+        return list(xs), 1
+    # exact for ints, Fractions and floats; Fraction reads the rest, such as strings
+    ratios = [(x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
+              for x in xs]
+    den = math.lcm(*(b for _, b in ratios))
+    return [a * (den // b) for a, b in ratios], den
 
 
 def _eliminate(m: list[list[int]]) -> tuple[list[int], int, int]:
@@ -68,7 +73,8 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form: the nonzero reduced rows and the pivot columns."""
     m = [integer_vector(row)[0] for row in rows]
     pivots, _, _ = _eliminate(m)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
+    reduced = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)]
+    return reduced, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -85,10 +91,10 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
     solved = {ncols - 1 - c: row[::-1] for row, c in zip(reduced, pivots)}
     basis: list[Vec] = []
     for free in (c for c in range(ncols) if c not in solved):
-        v = [Fraction(0)] * ncols
+        v = [_ZERO] * ncols
         v[free] = Fraction(1)
         for p, row in solved.items():
-            v[p] = -row[free]
+            v[p] = -row[free] if row[free] else _ZERO
         basis.append(tuple(v))
     return basis
 

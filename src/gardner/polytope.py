@@ -195,32 +195,41 @@ def barycentric(g: GMatrix, cell: LatticeSimplex) -> tuple[Fraction, ...] | None
     normalized board lies outside the cell (negative coefficients or not in
     the cell's affine span). Read off the canonical labels: A is the sum of
     lambda_j C_j and mu_i R_i, so by the circuit relation the representations
-    of A/N put (lambda_j + t)/N on C_j and (mu_i - t)/N on R_i, and every
-    vertex the cell omits must get 0: t = mu_k for R_k, -lambda_k for C_k.
+    of A put weight lambda_j - t on C_j and t + mu_i on R_i, and every vertex
+    the cell omits must get 0: t = -mu_k for R_k, lambda_k for C_k. These
+    weights are N times the coefficients, integers on an integer board, so
+    the test is a sign test on them; only the returned tuple is divided by N.
     """
+    weights = _weights(g, cell)
+    return None if weights is None else tuple(Fraction(w, g.value) for w in weights)
+
+
+def halfopen_contains(g: GMatrix, cell: HalfOpenSimplex) -> bool:
+    """Membership in a half-open cell: a sign test on barycentric's weights
+    N * coefficient (integers on an integer board), >= 0 on every vertex and
+    > 0 on every excluded one; no coefficient is divided out."""
+    return _weights(g, cell.simplex, cell.excluded) is not None
+
+
+def _weights(g: GMatrix, cell: LatticeSimplex,
+             excluded: frozenset[Vertex] = frozenset()) -> list[Scalar] | None:
+    # N times the coefficients of A / N on the cell's vertices, or None outside;
+    # vertices are slots 0..2d-1 in all_vertices order, so no Vertex is hashed
     if g.d != cell.d:
         raise ValueError("dimension mismatch")
     if g.value == 0:
         raise ValueError("the zero board has no normalized point")
-    lab = decompose_canonical(g)
-    # s = lambda_j on C_j, -mu_i on R_i; weights are +-(s + t)/N, so omitted s = -t
-    s = {v: lab.col_labels[v.index - 1] if v.kind == "C" else -lab.row_labels[v.index - 1]
-         for v in all_vertices(g.d)}
-    omitted = {s[v] for v in s.keys() - set(cell.vertices)}
+    lab, d = decompose_canonical(g), g.d
+    s = [*lab.col_labels, *(-x for x in lab.row_labels)]  # weight +-(s - t), + on C_j
+    at = [v.index - 1 + d * (v.kind == "R") for v in cell.vertices]
+    omitted = {s[k] for k in set(range(2 * d)).difference(at)}
     if len(omitted) != 1:
         return None
-    s0 = omitted.pop()
-    coeffs = tuple(Fraction(s[v] - s0 if v.kind == "C" else s0 - s[v], g.value)
-                   for v in cell.vertices)
-    return None if any(x < 0 for x in coeffs) else coeffs
-
-
-def halfopen_contains(g: GMatrix, cell: HalfOpenSimplex) -> bool:
-    """Membership in a half-open cell: inside the simplex with strictly
-    positive weight on every excluded vertex."""
-    coeffs = barycentric(g, cell.simplex)
-    return coeffs is not None and all(c > 0 for v, c in zip(cell.simplex.vertices, coeffs)
-                                      if v in cell.excluded)
+    t = omitted.pop()
+    weights = [s[k] - t if k < d else t - s[k] for k in at]
+    strict = {v.index - 1 + d * (v.kind == "R") for v in excluded}
+    return weights if all(w > 0 or w == 0 and k not in strict
+                          for k, w in zip(at, weights)) else None
 
 
 def project_pi(a: SquareMatrix) -> tuple[Scalar, ...]:

@@ -11,7 +11,7 @@ from gardner.duality import (AffineSubspace, Permutation, birkhoff_hull,
                              gale_pair_from_recipe, gardner_hull,
                              gorenstein_check, is_doubly_stochastic, pairing,
                              permutation_matrix, permutations_of)
-from gardner.matrix import (FactorialGuardError, Labeling, SquareMatrix,
+from gardner.matrix import (BudgetExceededError, FactorialGuardError, Labeling, SquareMatrix,
                             compose, scale)
 from gardner.polytope import all_vertices, row_vertex, vertex_matrix
 
@@ -271,6 +271,19 @@ def test_gorenstein_d3_unique_interior_point():
 
 def test_gorenstein_d4():
     assert gorenstein_check(4, 5).passed
+
+
+@pytest.mark.parametrize("n_max, budget, candidates",
+                         [(100, None, 100 ** 5), (30, 10 ** 5, 30 ** 5)])
+def test_gorenstein_budget_is_checked_before_any_sweep(monkeypatch, n_max, budget, candidates):
+    # The largest sweep, the interior of dilate n_max, is over the budget:
+    # the call raises at once and never starts a sweep.
+    def refuse(*args):
+        raise AssertionError("a sweep was started")
+
+    monkeypatch.setattr(duality, "iter_g_matrices_flat", refuse)
+    with pytest.raises(BudgetExceededError, match=f"^{candidates} candidates"):
+        gorenstein_check(3, n_max, budget)
 
 
 def test_compressed_check():

@@ -15,8 +15,9 @@ import pytest
 from gardner import duality
 from gardner.duality import (AffineSubspace, GalePairReport, birkhoff_hull,
                              compressed_check, dual_subspace, gale_pair_check,
-                             gardner_hull, permutation_matrix)
-from gardner.matrix import Labeling, SquareMatrix, compose, is_g_matrix_bruteforce
+                             gardner_hull, is_doubly_stochastic, permutation_matrix)
+from gardner.matrix import (Labeling, SquareMatrix, compose, is_g_matrix_bruteforce,
+                            is_g_matrix_fast)
 from test_matrix import rook_sum_by_definition
 
 
@@ -165,3 +166,72 @@ def test_hull_duals_are_involutions_up_to_8(d):
 def test_hulls_reject_d_below_one(call, args):
     with pytest.raises(ValueError, match="d must be >= 1"):
         call(*args)
+
+
+# --------------------------------- board predicates over one denominator
+
+def g_value_by_fractions(a: SquareMatrix, value=1) -> bool:
+    # The Fraction form of _has_g_value, kept only as its reference.
+    return is_g_matrix_fast(a).value == value
+
+
+def line_sums_by_fractions(b: SquareMatrix, total) -> bool:
+    # The Fraction form of _has_line_sums, kept only as its reference.
+    return b.is_nonnegative() and all(sum(line) == total for line in (*b.rows, *zip(*b.rows)))
+
+
+def test_board_predicates_match_the_fraction_forms():
+    # Scaled boards, bumped boards, convex combinations and signed points, with
+    # the true value, a wrong one and a Fraction one.
+    rng = random.Random("board-predicates")
+    outcomes = Counter()
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        lab = Labeling(tuple(rng.randint(0, 9) for _ in range(d)),
+                       tuple(rng.randint(0, 9) for _ in range(d)))
+        board = compose(lab).matrix.scaled(Fraction(1, rng.randint(1, 40)))
+        rows = [list(r) for r in board.rows]
+        shape = rng.choice(["board", "bumped", "signed", "stochastic"])
+        i, j = rng.randrange(d), rng.randrange(d)
+        if shape == "bumped":
+            rows[i][j] += Fraction(1, rng.randint(1, 997))
+        elif shape == "signed":
+            rows[i][j] = -rows[i][j] - Fraction(1, 3)
+        elif shape == "stochastic":
+            rows = [list(r) for r in duality._random_convex_combination(rng, d).rows]
+        m = SquareMatrix(tuple(map(tuple, rows)))
+        value = sum(m.rows[k][k] for k in range(d))
+        for v in (value, value + 1, Fraction(1, 7), 1):
+            got = (duality._has_g_value(m, v), duality._has_line_sums(m, v))
+            assert got == (g_value_by_fractions(m, v), line_sums_by_fractions(m, v)), m.rows
+            outcomes[shape, got] += 1
+    assert outcomes["board", (True, False)] > 20 and outcomes["stochastic", (False, True)] > 20
+    assert outcomes["bumped", (False, False)] > 20 and outcomes["signed", (False, False)] > 20
+
+
+def test_doubly_stochastic_reads_float_entries_exactly():
+    # 0.1 + 0.9 rounds to 1.0 in floats, but the two floats sum to more than 1.
+    assert is_doubly_stochastic(SquareMatrix(((0.5, 0.5), (0.5, 0.5))))
+    assert not is_doubly_stochastic(SquareMatrix(((0.1, 0.9), (0.9, 0.1))))
+
+
+# ---------------------------------------- one integer clear per subspace
+
+@pytest.mark.parametrize("hull", [gardner_hull, birkhoff_hull])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_dual_subspace_is_the_same_twice_on_one_instance(hull, d):
+    sub = hull(d)
+    first = dual_subspace(sub)
+    assert dual_subspace(sub) == first == dual_subspace(hull(d))
+    assert dual_subspace(first) == sub
+
+
+def test_subspace_equality_and_hash_ignore_the_cached_clear():
+    used, fresh = birkhoff_hull(3), birkhoff_hull(3)
+    points = used.spanning_points()
+    assert used._cleared is used._cleared  # computed once
+    assert "_cleared" in vars(used) and "_cleared" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert fresh.spanning_points() == points
+    points[0][0][0] += 1  # the returned lists are the caller's own
+    assert used.spanning_points() == fresh.spanning_points() != points

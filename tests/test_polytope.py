@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -296,6 +297,57 @@ def test_unimodularity_of_all_cells():
 def test_unimodularity_rejects_degenerate():
     with pytest.raises(ValueError):
         unimodularity_check(cell_intersection(1, 2, 2))
+
+
+# ------------------------------- the integer weights against a Fraction solve
+
+def barycentric_by_solving(g: GMatrix, cell: LatticeSimplex):
+    # Independent reference: solve sum_v c_v M_v = A / N, sum_v c_v = 1 in Fractions.
+    columns = [vertex_matrix(v).flat() for v in cell.vertices]
+    target = [Fraction(x) / g.value for x in g.matrix.flat()] + [Fraction(1)]
+    system = [list(entries) for entries in zip(*columns)] + [[1] * len(columns)]
+    coeffs = linalg.solve_unique(system, target)
+    return None if coeffs is None or min(coeffs) < 0 else coeffs
+
+
+def contains_by_solving(g: GMatrix, cell: HalfOpenSimplex) -> bool:
+    coeffs = barycentric_by_solving(g, cell.simplex)
+    return coeffs is not None and all(c > 0 for v, c in zip(cell.simplex.vertices, coeffs)
+                                      if v in cell.excluded)
+
+
+def seeded_cells(rng: random.Random, d: int) -> list[LatticeSimplex]:
+    # Both triangulations, the faces shared by two row-omitting cells, and a
+    # proper subset of the vertices, which omits vertices of both kinds.
+    cells = triangulation_cells(d, "R") + triangulation_cells(d, "C")
+    if d >= 2:
+        cells += [cell_intersection(*rng.sample(range(1, d + 1), 2), d) for _ in range(3)]
+    vertices = list(all_vertices(d))
+    cells.append(LatticeSimplex(tuple(rng.sample(vertices, rng.randint(1, 2 * d - 1)))))
+    return cells
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_weights_match_a_fraction_solve(seed):
+    # Small labels put many boards on the cells' boundaries, where a weight
+    # is exactly 0; each board is also tried as a Fraction board from scale.
+    rng = random.Random(f"weights-{seed}")
+    for _ in range(12):
+        d = rng.randint(1, 4)
+        lab = Labeling(tuple(rng.choice([0, 0, 1, 2, 5]) for _ in range(d)),
+                       tuple(rng.choice([0, 0, 1, 3]) for _ in range(d)))
+        if lab.total() == 0:
+            continue
+        board = compose(lab)
+        scaled = scale(board, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for cell in seeded_cells(rng, d):
+            excluded = frozenset(v for v in cell.vertices if rng.random() < 0.5)
+            half_open = HalfOpenSimplex(cell, excluded)
+            want = barycentric_by_solving(board, cell)
+            want_in = contains_by_solving(board, half_open)
+            for g in (board, scaled):
+                assert barycentric(g, cell) == want, (g.matrix.rows, names(cell))
+                assert halfopen_contains(g, half_open) == want_in, (g.matrix.rows, names(cell))
 
 
 # -------------------------------------------------------------------- facets
