@@ -18,9 +18,8 @@ q orthogonal to U and q != 0, the set of y pairing to 1 against all of L is
 
 an involution with dim L + dim L-dagger = D - 1. Whenever q > 0 entrywise,
 intersecting L and L-dagger with the nonnegative orthant produces a Gale-dual
-pair. The checks are exact, over integers with one common denominator: the
-board predicates (is_doubly_stochastic on the B side, the value-N G-check on
-the other) clear a board to n / D once and compare n with the target times D.
+pair. Checks are exact, over integers: SquareMatrix clears a board to n / D
+once for every predicate; HDescription.is_feasible clears its flat points.
 
 Both polytopes are Gorenstein of index d and compressed. gorenstein_check
 proves, by enumeration for d <= N <= n_max, that subtracting the all-ones J
@@ -85,16 +84,8 @@ def is_doubly_stochastic(b: SquareMatrix) -> bool:
     return _has_line_sums(b, 1)
 
 
-def _integer_board(b: SquareMatrix) -> tuple[SquareMatrix, int]:
-    # The board as integers n over one denominator D (b = n / D); integer boards as given
-    if all(type(x) is int for row in b.rows for x in row):
-        return b, 1
-    nums, den = linalg.integer_vector(b.flat())
-    return SquareMatrix(tuple(nums[k:k + b.d] for k in range(0, len(nums), b.d))), den
-
-
 def _has_line_sums(b: SquareMatrix, total: Scalar) -> bool:
-    n, den = _integer_board(b)
+    n, den = b._cleared  # b = n / D
     target = total * den
     return n.is_nonnegative() and all(sum(line) == target for line in (*n.rows, *zip(*n.rows)))
 
@@ -107,7 +98,7 @@ def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
 
 
 def _has_g_value(a: SquareMatrix, value: Scalar = 1) -> bool:
-    n, den = _integer_board(a)  # a = n / D has value N exactly when n has value N * D
+    n, den = a._cleared  # a = n / D has value N exactly when n has value N * D
     return is_g_matrix_fast(n).value == value * den  # None on a failed check
 
 
@@ -233,7 +224,7 @@ class AffineSubspace:
         return len(self.basis)
 
     def contains(self, point: Sequence) -> bool:
-        diff = [x - qx for x, qx in zip(linalg.to_vec(point), self.q)]
+        diff = [x - qx for x, qx in zip(linalg.to_vec(point), self.q, strict=True)]
         return linalg.rank(list(self.basis) + [diff]) == len(self.basis)
 
     def spanning_points(self) -> list[tuple[list[int], int]]:

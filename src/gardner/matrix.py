@@ -14,11 +14,13 @@ by an O(d^2) criterion), read the labels off a certified board's first row
 and column in O(d), and generate boards.
 
 Scalars are Python ints or ``fractions.Fraction``; all arithmetic is exact.
-Every type is an immutable value, safe to share across threads.
+Every type is an immutable value, safe to share across threads: the integer
+clear a board caches is deterministic, so a race only computes it twice.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -100,6 +102,14 @@ class SquareMatrix:
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for r in self.rows for x in r)
+
+    @functools.cached_property
+    def _cleared(self) -> tuple["SquareMatrix", int]:
+        # self as int board n over one denominator D; not a field, so == and hash skip it
+        if all(type(x) is int for r in self.rows for x in r):
+            return self, 1
+        nums, den = linalg.integer_vector(self.flat())
+        return SquareMatrix(tuple(nums[k:k + self.d] for k in range(0, len(nums), self.d))), den
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.d != other.d:
@@ -255,10 +265,8 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
     d = a.d
     if d > guard:
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
-    rows = a.rows
-    if {type(x) for row in rows for x in row} in ({Fraction}, {int, Fraction}):  # floats: as given
-        nums, _ = linalg.integer_vector(a.flat())
-        rows = [nums[k:k + d] for k in range(0, d * d, d)]
+    fractional = {type(x) for row in a.rows for x in row} in ({Fraction}, {int, Fraction})
+    rows = a._cleared[0].rows if fractional else a.rows  # ints and floats: as given
     sums: dict[int, Scalar] = {0: 0}  # bitmask of used columns -> covered sum
     for row in rows:
         extended: dict[int, Scalar] = {}

@@ -216,6 +216,17 @@ def test_hulls_contain_their_polytopes_points():
         assert hull_g.contains(center) and hull_b.contains(center)
 
 
+@pytest.mark.parametrize("hull", [gardner_hull, birkhoff_hull])
+def test_contains_rejects_a_point_of_the_wrong_length(hull):
+    # A longer point must not be cut to the ambient dimension, nor a shorter
+    # one fail as "rows have different lengths".
+    sub, half = hull(2), [Fraction(1, 2)] * 4
+    assert sub.contains(half)
+    for point in (half + [7], half + [0], half[:3]):
+        with pytest.raises(ValueError, match="zip"):
+            sub.contains(point)
+
+
 # -------------------------------------------------------------------- recipe
 
 def test_recipe_segment_and_point():

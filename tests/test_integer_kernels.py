@@ -5,6 +5,7 @@ one denominator. These tests pin that the results are those of exact rational
 arithmetic, with the same seeded draws, and that the integer checks still
 catch a wrong construction.
 """
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from gardner import duality
+from gardner import duality, linalg
 from gardner.duality import (AffineSubspace, GalePairReport, birkhoff_hull,
                              compressed_check, dual_subspace, gale_pair_check,
                              gardner_hull, is_doubly_stochastic, permutation_matrix)
@@ -235,3 +236,37 @@ def test_subspace_equality_and_hash_ignore_the_cached_clear():
     assert fresh.spanning_points() == points
     points[0][0][0] += 1  # the returned lists are the caller's own
     assert used.spanning_points() == fresh.spanning_points() != points
+
+
+# ------------------------------------------- one integer clear per board
+
+def test_board_clear_is_cached_and_invisible_to_the_value():
+    rows = ((Fraction(1, 2), 3), (Fraction(-2, 3), Fraction(5, 4)))
+    used, fresh = SquareMatrix(rows), SquareMatrix(rows)
+    n, den = used._cleared
+    assert used._cleared is used._cleared  # computed once
+    assert "_cleared" in vars(used) and "_cleared" not in vars(fresh)
+    assert den == 12 and n.rows == ((6, 36), (-8, 15)) and n.scaled(Fraction(1, den)) == used
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(used)] == ["rows"]
+    copy = dataclasses.replace(used)
+    assert copy == used and "_cleared" not in vars(copy)
+
+
+def test_an_integer_board_is_its_own_clear(monkeypatch):
+    monkeypatch.setattr(linalg, "integer_vector", lambda xs: pytest.fail("cleared an int board"))
+    board = compose(Labeling((0, 2, 5), (1, 0, 4))).matrix
+    n, den = board._cleared
+    assert n is board and den == 1
+    assert duality._has_g_value(board, 12) and not duality._has_line_sums(board, 12)
+
+
+def test_gale_pair_check_clears_each_sample_board_once(monkeypatch):
+    # Each sample's noise, point, bumped and stochastic boards are cleared once
+    # and shared by the rook-sum sweep and the two board predicates; the B side's
+    # HDescription.is_feasible clears its flat points itself (3 a sample).
+    calls, clear = [], linalg.integer_vector
+    monkeypatch.setattr(linalg, "integer_vector", lambda xs: calls.append(xs) or clear(xs))
+    report = gale_pair_check(5, 10, 3)
+    assert report == GalePairReport(5, 2 * 5 * math.factorial(5), 60, None)
+    assert len(calls) <= 70  # 120 when each predicate cleared the board itself

@@ -1,15 +1,26 @@
 """Run a fixed corpus of `gardner` commands and print what each one did.
 
-Usage: python3 tools/cli_corpus.py SRC_DIR > corpus.txt
+Usage: python3 tools/cli_corpus.py [SRC_DIR] > corpus.txt
+       python3 tools/cli_corpus.py --check [SRC_DIR]
+       python3 tools/cli_corpus.py --write [SRC_DIR]
 
 SRC_DIR is the directory that holds the `gardner` package (a checkout's
-`src`). Each command runs as a fresh `python -m gardner.cli` process in one
-temporary directory that holds the board files below, so two checkouts can
-be compared with `diff` on their outputs: the record of each command is its
-arguments, its exit code, its stdout and its stderr.
+`src`; by default the one next to this file). Each command runs as a fresh
+`python -m gardner.cli` process in one temporary directory that holds the
+board files below, so two checkouts can be compared with `diff` on their
+outputs: the record of each command is its arguments, its exit code, its
+stdout and its stderr.
+
+`--check` compares each record with its digest in `cli_corpus.sha256` and
+names every command whose record differs, with its first differing line; it
+exits 1 if any does. `--write` rewrites that file from SRC_DIR, for an output
+changed on purpose. Each line of the file is one command, in corpus order:
+the sha256 of its record, the first 8 hex digits of the sha256 of each line
+of the record (joined by "."), then the command.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -81,8 +92,11 @@ COMMANDS += [({}, args) for args in (
     ["duality", "5", "--samples", "200", "--seed", "3"])]
 
 
-def main() -> None:
-    src = os.path.abspath(sys.argv[1])
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_corpus.sha256")
+
+
+def records(src: str):
+    """(command, record) for each command, run against the package in src."""
     with tempfile.TemporaryDirectory() as work:
         for name, text in BOARDS.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
@@ -96,8 +110,65 @@ def main() -> None:
                 code, out, err = result.returncode, result.stdout, result.stderr
             except subprocess.TimeoutExpired:
                 code, out, err = "timeout", "", ""
-            print(f"=== {env} {args}\n--- exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+            command = f"{env} {args}"
+            yield command, f"=== {command}\n--- exit {code}\n--- stdout\n{out}--- stderr\n{err}\n"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def line_digests(record: str) -> list[str]:
+    return [sha256(line)[:8] for line in record.split("\n")]
+
+
+def check(src: str) -> int:
+    """Print each command whose record differs from its digest; 1 if any does."""
+    with open(DIGESTS, encoding="utf-8") as fh:
+        expected = {command: (full, lines.split("."))
+                    for full, lines, command in (row.rstrip("\n").split(" ", 2) for row in fh)}
+    failures = 0
+    for command, record in records(src):
+        full, lines = expected.pop(command, (None, []))
+        if full == sha256(record):
+            continue
+        failures += 1
+        got = record.split("\n")
+        k = next((k for k, (a, b) in enumerate(zip(line_digests(record), lines)) if a != b),
+                 min(len(got), len(lines)))
+        if full is None:
+            where = "no digest"
+        elif k < len(got):
+            where = f"line {k + 1}: {got[k][:200]!r}"
+        else:
+            where = f"ends after line {k}"
+        print(f"DIFFERS {command}: {where}")
+    for command in expected:
+        failures += 1
+        print(f"MISSING {command}: has a digest but is not in the corpus")
+    print(f"{failures} command records differ from their digests" if failures else
+          f"all {len(COMMANDS)} command records match their digests")
+    return 1 if failures else 0
+
+
+def main() -> int:
+    mode = sys.argv[1] if len(sys.argv) > 1 and sys.argv[1] in ("--check", "--write") else None
+    paths = sys.argv[2:] if mode else sys.argv[1:]
+    default = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    if len(paths) > 1:
+        sys.exit(__doc__)
+    src = os.path.abspath(paths[0] if paths else default)
+    if mode == "--check":
+        return check(src)
+    if mode == "--write":
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            for command, record in records(src):
+                fh.write(f"{sha256(record)} {'.'.join(line_digests(record))} {command}\n")
+        return 0
+    for _, record in records(src):
+        sys.stdout.write(record)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
