@@ -1,11 +1,11 @@
 """Command-line front end: subcommand x is handled by cmd_x, mapped in build_parser.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse
-error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment
-variable overrides the default brute-force candidate ceiling; the sweep counts
-its first-row and first-column candidates, (N+1)^(2d-1). A budget that is not
-a nonnegative integer exits 2. main reads a board file once, under the int
-digit limit, then lifts the limit, so values of any size print exactly.
+error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment variable
+overrides the default ceiling on the grid of (N+1)^(2d-1) first rows and columns,
+which bounds the brute-force sweep's work: it walks only the first columns of trace N.
+A budget that is not a nonnegative integer exits 2. main reads a board file once,
+under the int digit limit, then lifts the limit, so values of any size print exactly.
 boards and matrix load at import; each cmd_x imports any other module it runs.
 """
 from __future__ import annotations

@@ -87,11 +87,11 @@ def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
     """Iterate over every integer G-matrix of the given value, as row-major tuples.
 
     Constant rook sums force the 2x2 exchange rule a_ij = a_i1 + a_1j - a_11,
-    so the first row and column fix the board. Sweeps those
-    (value+1-min_entry)^(2d-1) candidates and keeps the completions with trace
-    = value and every entry >= min_entry (so none exceeds value), in row-major
-    lexicographic order; min_entry=1 gives the interior lattice points.
-    Raises BudgetExceededError at the call if the sweep is too large.
+    so the first row and column fix the board. For each first row, walks only the
+    first columns that give trace = value and every entry >= min_entry >= 0 (so none
+    exceeds value), in row-major lexicographic order; min_entry=1 gives the interior
+    lattice points. The budget counts the (value+1-min_entry)^(2d-1) first rows and
+    columns, which bound the work; over it, BudgetExceededError is raised at the call.
     """
     return _sweep(d, value, min_entry, _sweep_range(d, value, min_entry, budget))
 
@@ -100,34 +100,34 @@ def _sweep_range(d: int, value: int, min_entry: int, budget: int | None) -> rang
     _check_d_value(d, value)
     entry_range = range(min_entry, value + 1)
     candidates = len(entry_range) ** (2 * d - 1)
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    name, arg = ("min_entry", min_entry) if min_entry < 0 else ("budget", budget)
+    if arg is not None and arg < 0:
+        raise ValueError(f"{name} must be >= 0, got {arg}")
     limit = DEFAULT_BUDGET if budget is None else budget
     if candidates > limit:
-        raise BudgetExceededError(
-            f"{candidates} candidates exceed the budget {limit}")
+        raise BudgetExceededError(f"{candidates} candidates exceed the budget {limit}")
     return entry_range
 
 
 def _sweep(d: int, value: int, min_entry: int, entry_range: range) -> Iterator[tuple[int, ...]]:
     for top in itertools.product(entry_range, repeat=d):
-        a11, low, total = top[0], min(top), sum(top) - (d - 1) * top[0]
-        for col in itertools.product(entry_range, repeat=d - 1):
-            # trace = sum(top) + sum_{i>1} (a_i1 - a_11); smallest entry =
-            # min(top) + min_i (a_i1 - a_11), the i = 1 term being 0
-            if total + sum(col) == value and low + min(col, default=a11) - a11 >= min_entry:
-                yield top + tuple(c - a11 + x for c in col for x in top)
+        shift = min_entry - min(top)  # row i = top + a_i1 - a_11 is >= min_entry iff c_i >= 0
+        # for c_i = a_i1 - a_11 - shift, and trace = sum(top) + (d-1) shift + sum(c) = value
+        for col in iter_compositions(value - sum(top) - (d - 1) * shift, d - 1):
+            yield top + tuple(c + shift + x for c in col for x in top)
 
 
 def g_bruteforce(d: int, value: int, budget: int | None = None) -> int:
-    """Count integer G-matrices by exhaustive sweep (independent oracle)."""
+    """Count integer G-matrices by the first-row-and-column sweep (independent oracle)."""
     return sum(1 for _ in iter_g_matrices_flat(d, value, 0, budget))
 
 
 def iter_compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers summing to n."""
-    for bars in itertools.combinations(range(n + parts - 1), parts - 1):
-        yield _composition_from_bars(bars, n, parts)
+    """All tuples of ``parts`` nonnegative integers summing to n, in lexicographic order."""
+    if n < 0 or parts == 0:
+        return iter([()] if n == parts == 0 else [])
+    bars = itertools.combinations(range(n + parts - 1), parts - 1)
+    return (_composition_from_bars(b, n, parts) for b in bars)
 
 
 def g_labeling_oracle(d: int, value: int) -> int:

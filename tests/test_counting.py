@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,42 @@ def test_sweep_matches_full_sweep(d, n_max, min_entry):
         assert list(iter_g_matrices_flat(d, n, min_entry)) == _full_sweep(d, n, min_entry)
 
 
+def _grid_sweep(d, n, min_entry):
+    # The grid-and-filter loop, kept only as the reference for the composition walk:
+    # every first row and first column in min_entry..n, kept when the completed
+    # board has trace n and every entry >= min_entry.
+    entries = range(min_entry, n + 1)
+    for top in itertools.product(entries, repeat=d):
+        for col in itertools.product(entries, repeat=d - 1):
+            board = top + tuple(c - top[0] + x for c in col for x in top)
+            if sum(board[::d + 1]) == n and min(board) >= min_entry:
+                yield board
+
+
+def _grid_cases():
+    rng = random.Random(7)
+    cases = [(d, n, m) for d in (1, 2) for n in range(10) for m in range(n + 2)]
+    cases += [(3, n, m) for n in range(7) for m in range(n + 2)]
+    cases += [(4, n, m) for n in range(4) for m in range(n + 2)]
+    cases += [(5, n, m) for n in range(3) for m in range(n + 2)]
+    for _ in range(20):
+        d = rng.randint(1, 5)
+        n = rng.randint(0, (9, 9, 7, 4, 2)[d - 1])
+        cases.append((d, n, rng.randint(0, n + 1)))
+    return cases
+
+
+def test_sweep_matches_grid_sweep():
+    for d, n, min_entry in _grid_cases():
+        assert list(iter_g_matrices_flat(d, n, min_entry)) == list(_grid_sweep(d, n, min_entry))
+
+
+def test_bruteforce_walks_only_kept_boards():
+    # 21^5 = 4.1e6 grid candidates for 26,796 boards: filtering the grid again
+    # would make this test about ten times slower
+    assert g_bruteforce(3, 20) == g_formula_3(3, 20)
+
+
 def test_bruteforce_matches_formula_beyond_d3():
     for n in range(4):
         assert g_bruteforce(4, n) == g_formula_3(4, n)
@@ -204,6 +241,10 @@ def test_compositions():
         comps = list(iter_compositions(n, parts))
         assert len(comps) == len(set(comps)) == binom(n + parts - 1, parts - 1)
         assert all(sum(c) == n and min(c) >= 0 for c in comps)
+        assert comps == sorted(comps)  # lexicographic, as the sweep relies on
+    assert list(iter_compositions(-1, 1)) == list(iter_compositions(-3, 4)) == []
+    assert list(iter_compositions(0, 0)) == [()]
+    assert list(iter_compositions(1, 0)) == list(iter_compositions(-1, 0)) == []
 
 
 # ---------------------------------------------------------------- f* vector
@@ -473,6 +514,12 @@ def test_sweep_rejects_bad_arguments_at_the_call(d, value, budget):
     # the iterator is never advanced: the checks run when it is made
     with pytest.raises(ValueError):
         iter_g_matrices_flat(d, value, budget=budget)
+
+
+@pytest.mark.parametrize("d, value, min_entry", [(3, 4, -1), (1, 0, -5)])
+def test_sweep_rejects_negative_min_entry_at_the_call(d, value, min_entry):
+    with pytest.raises(ValueError, match="min_entry"):
+        iter_g_matrices_flat(d, value, min_entry)
 
 
 def test_sweep_budget_is_enforced_at_the_call():
