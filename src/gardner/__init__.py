@@ -12,7 +12,7 @@ from .matrix import (FACTORIAL_GUARD, BudgetExceededError, FactorialGuardError, 
 
 __version__ = "0.1.0"
 
-# Every subcommand runs the modules loaded above; these load on first use of a name (PEP 562).
+# matrix loads linalg for SquareMatrix's clear; these load on first use of a name (PEP 562).
 _LAZY = {
     "counting": """CountingPolynomial FStarVector RootsReport binom f_star f_star_by_enumeration
         g_bruteforce g_formula_1 g_formula_2 g_formula_3 g_labeling_oracle halfopen_simplex_count

@@ -6,7 +6,7 @@ overrides the default ceiling on the grid of (N+1)^(2d-1) first rows and columns
 which bounds the brute-force sweep's work: it walks only the first columns of trace N.
 A budget that is not a nonnegative integer exits 2. main reads a board file once,
 under the int digit limit, then lifts the limit, so values of any size print exactly.
-boards and matrix load at import; each cmd_x imports any other module it runs.
+boards, matrix and linalg (for SquareMatrix) load at import; the rest by gardner's lazy names.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import os
 import random
 import sys
 
+import gardner
 from .boards import (BoardDocument, board_json_payload, format_addition_table,
                      format_board_text)
 from .matrix import (BudgetExceededError, FactorialGuardError, GMatrix, SquareMatrix,
@@ -81,14 +82,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from . import counting
     which = ["1", "2", "3"] if args.formula == "all" else [args.formula]
-    values = {k: getattr(counting, f"g_formula_{k}")(args.d, args.value) for k in which}
+    values = {k: getattr(gardner, f"g_formula_{k}")(args.d, args.value) for k in which}
     text = ", ".join(str(values[k]) for k in which)
     payload = {"d": args.d, "N": args.value,
                "formulas": {k: str(values[k]) for k in which}}
     if args.oracle:
-        values["oracle"] = counting.g_bruteforce(args.d, args.value, _budget_from_env())
+        values["oracle"] = gardner.g_bruteforce(args.d, args.value, _budget_from_env())
         text += f"\noracle: {values['oracle']}"
         payload["oracle"] = str(values["oracle"])
     _emit(payload, args.json, text)
@@ -96,15 +96,13 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
-    from . import counting
-    poly = counting.interpolate(args.d)
+    poly = gardner.interpolate(args.d)
     _emit(poly.to_json_dict(), args.json, poly.pretty())
     return EXIT_OK
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    from . import counting
-    report = counting.roots_check(args.d, args.tol)
+    report = gardner.roots_check(args.d, args.tol)
     lines = [f"{r.real:+.9f} {r.imag:+.9f}i  {label}"
              for r, label in zip(report.roots, report.labels)]
     lines.append("all roots classified" if report.passed else "UNCLASSIFIED ROOTS")
@@ -124,19 +122,17 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    from .polytope import locate
     g = _as_g_matrix(args.board)
     if g is None:
         return EXIT_CHECK_FAILED
-    k = locate(g)
+    k = gardner.locate(g)
     _emit({"cell": k}, args.json, str(k))
     return EXIT_OK
 
 
 def cmd_duality(args: argparse.Namespace) -> int:
-    from . import duality
     print(f"seed: {args.seed}", file=sys.stderr)
-    report = duality.gale_pair_check(args.d, args.samples, args.seed)
+    report = gardner.gale_pair_check(args.d, args.samples, args.seed)
     _emit({"d": report.d,
            "vertex_pairings": report.vertex_pairings_checked,
            "samples": report.samples_checked,

@@ -5,7 +5,7 @@ all from one kernel: ``_eliminate`` runs fraction-free Gauss-Jordan on integer
 rows (Bareiss, Math. Comp. 1968), so every entry stays a minor of the input.
 ``rref`` clears each row to integers once (``integer_vector``) and divides by
 the pivots at the end; ``det_bareiss`` reads the last pivot. Rows may hold
-anything ``Fraction`` accepts, floats read exactly; ``dot`` takes ints and
+ints, Fractions and floats, each read exactly; ``dot`` takes ints and
 Fractions. Nothing here rounds.
 """
 from __future__ import annotations
@@ -19,10 +19,6 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)  # the one zero entry of every rref and nullspace row
 
 
-def to_vec(xs: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in xs)
-
-
 def dot(u: Sequence, v: Sequence) -> int | Fraction:
     """The inner product sum u_k * v_k, in the arithmetic of the entries."""
     if len(u) != len(v):
@@ -31,12 +27,10 @@ def dot(u: Sequence, v: Sequence) -> int | Fraction:
 
 
 def integer_vector(xs: Sequence) -> tuple[list[int], int]:
-    """Integers n_k and a denominator D > 0 with n_k / D == xs[k]."""
+    """Integers n_k and D > 0 with n_k / D == xs[k]; ints, Fractions and floats read exactly."""
     if all(type(x) is int for x in xs):
         return list(xs), 1
-    # exact for ints, Fractions and floats; Fraction reads the rest, such as strings
-    ratios = [(x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
-              for x in xs]
+    ratios = [x.as_integer_ratio() for x in xs]
     den = math.lcm(*(b for _, b in ratios))
     return [a * (den // b) for a, b in ratios], den
 

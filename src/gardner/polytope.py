@@ -114,9 +114,8 @@ class HalfOpenSimplex:
 def circuit_check(d: int) -> bool:
     """True iff the row indicators and the column indicators both sum to J."""
     _check_d_value(d)
-    rows, cols = (tuple(map(sum, zip(*(vertex_matrix(Vertex(k, i, d)).flat()
-                                       for i in range(1, d + 1)))))
-                  for k in "RC")
+    flats = [vertex_matrix(v).flat() for v in all_vertices(d)]  # C_1..C_d, then R_1..R_d
+    cols, rows = (tuple(map(sum, zip(*half))) for half in (flats[:d], flats[d:]))
     return rows == (1,) * (d * d) == cols
 
 
@@ -158,9 +157,9 @@ def cell_intersection(i: int, j: int, d: int) -> LatticeSimplex:
 
 
 def _cell(d: int, kind: VertexKind, omitted: tuple[int, ...]) -> LatticeSimplex:
-    # All vertices except the omitted ones of one kind, C_1..C_d then R_1..R_d.
-    return LatticeSimplex(tuple(Vertex(k, i, d) for k in "CR" for i in range(1, d + 1)
-                                if k != kind or i not in omitted))
+    # All vertices except the omitted ones of one kind, in all_vertices order.
+    return LatticeSimplex(tuple(v for v in all_vertices(d)
+                                if v.kind != kind or v.index not in omitted))
 
 
 def halfopen_cells(d: int) -> list[HalfOpenSimplex]:

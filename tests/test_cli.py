@@ -420,7 +420,12 @@ STARTUP = {"gardner", "gardner.boards", "gardner.cli", "gardner.linalg", "gardne
     (["count", "2", "3"], STARTUP | {"gardner.counting"}),
     (["duality", "2", "--samples", "2"],
      STARTUP | {"gardner.counting", "gardner.duality", "gardner.polytope"}),
-], ids=["trick", "verify", "locate", "count", "duality"])
+    (["poly", "3"], STARTUP | {"gardner.counting"}),
+    (["roots", "4"], STARTUP | {"gardner.counting"}),
+    (["count", "2", "3", "--oracle"], STARTUP | {"gardner.counting"}),
+    (["decompose", "{board}"], STARTUP),
+], ids=["trick", "verify", "locate", "count", "duality", "poly", "roots", "count-oracle",
+        "decompose"])
 def test_subcommand_loads_only_the_modules_it_runs(example_file, argv, loaded):
     # A fresh process: sys.modules then holds what this one subcommand imported.
     src = Path(gardner.__file__).resolve().parents[1]

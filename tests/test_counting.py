@@ -152,7 +152,8 @@ def test_bruteforce_budget_rejects_negative():
 
 
 def test_bruteforce_budget_counts_first_row_and_column():
-    # the sweep visits (N+1-min_entry)^(2d-1) candidates, and the budget is inclusive
+    # the budget counts the (N+1-min_entry)^(2d-1) grid of first rows and columns, which
+    # bounds the composition walk from above; the budget is inclusive
     assert g_bruteforce(3, 4, budget=5 ** 5) == g_formula_3(3, 4)
     with pytest.raises(BudgetExceededError, match=str(5 ** 5)):
         g_bruteforce(3, 4, budget=5 ** 5 - 1)
