@@ -93,24 +93,19 @@ def iter_g_matrices_flat(d: int, value: int, min_entry: int = 0,
     lattice points. The budget counts the (value+1-min_entry)^(2d-1) first rows and
     columns, which bound the work; over it, BudgetExceededError is raised at the call.
     """
-    return _sweep(d, value, min_entry, _sweep_range(d, value, min_entry, budget))
-
-
-def _sweep_range(d: int, value: int, min_entry: int, budget: int | None) -> range:
     _check_d_value(d, value)
-    entry_range = range(min_entry, value + 1)
-    candidates = len(entry_range) ** (2 * d - 1)
+    candidates = len(range(min_entry, value + 1)) ** (2 * d - 1)
     name, arg = ("min_entry", min_entry) if min_entry < 0 else ("budget", budget)
     if arg is not None and arg < 0:
         raise ValueError(f"{name} must be >= 0, got {arg}")
     limit = DEFAULT_BUDGET if budget is None else budget
     if candidates > limit:
         raise BudgetExceededError(f"{candidates} candidates exceed the budget {limit}")
-    return entry_range
+    return _sweep(d, value, min_entry)
 
 
-def _sweep(d: int, value: int, min_entry: int, entry_range: range) -> Iterator[tuple[int, ...]]:
-    for top in itertools.product(entry_range, repeat=d):
+def _sweep(d: int, value: int, min_entry: int) -> Iterator[tuple[int, ...]]:
+    for top in itertools.product(range(min_entry, value + 1), repeat=d):
         shift = min_entry - min(top)  # row i = top + a_i1 - a_11 is >= min_entry iff c_i >= 0
         # for c_i = a_i1 - a_11 - shift, and trace = sum(top) + (d-1) shift + sum(c) = value
         for col in iter_compositions(value - sum(top) - (d - 1) * shift, d - 1):
@@ -271,7 +266,7 @@ class CountingPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CountingPolynomial":
-        return cls(int(data["d"]), tuple(Fraction(c) for c in data["coeffs"]))
+        return cls(int(data["d"]), data["coeffs"])
 
 
 def _times_rising(poly: list[int], start: int, count: int) -> list[int]:

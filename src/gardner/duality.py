@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import linalg
-from .counting import _sweep_range, iter_g_matrices_flat
+from .counting import iter_g_matrices_flat
 from .matrix import (FACTORIAL_GUARD, FactorialGuardError, Scalar, SquareMatrix,
                      _check_d_value, is_g_matrix_bruteforce, is_g_matrix_fast, scale,
                      trick_generate)
@@ -73,7 +73,7 @@ def permutations_of(d: int) -> Iterator[Permutation]:
 def permutation_matrix(sigma: Permutation | Sequence[int]) -> SquareMatrix:
     """0/1 matrix with a single 1 per row and column, at (i, sigma(i))."""
     if not isinstance(sigma, Permutation):
-        sigma = Permutation(tuple(sigma))
+        sigma = Permutation(sigma)
     # Row i is the indicator of sigma(i).
     return SquareMatrix(tuple(tuple(1 if j == s else 0 for j in range(1, sigma.d + 1))
                               for s in sigma.images))
@@ -85,9 +85,9 @@ def is_doubly_stochastic(b: SquareMatrix) -> bool:
 
 
 def _has_line_sums(b: SquareMatrix, total: Scalar) -> bool:
-    n, den = b._cleared  # b = n / D
+    n, den = b._cleared  # b = n / D, n as int rows
     target = total * den
-    return n.is_nonnegative() and all(sum(line) == target for line in (*n.rows, *zip(*n.rows)))
+    return min(map(min, n)) >= 0 and all(sum(line) == target for line in (*n, *zip(*n)))
 
 
 def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
@@ -99,7 +99,7 @@ def pairing(a: SquareMatrix, b: SquareMatrix) -> Scalar:
 
 def _has_g_value(a: SquareMatrix, value: Scalar = 1) -> bool:
     n, den = a._cleared  # a = n / D has value N exactly when n has value N * D
-    return is_g_matrix_fast(n).value == value * den  # None on a failed check
+    return is_g_matrix_fast(SquareMatrix(n)).value == value * den  # None on a failed check
 
 
 def _bounded_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
@@ -365,7 +365,7 @@ def gorenstein_check(d: int, n_max: int, budget: int | None = None) -> Gorenstei
     Raises BudgetExceededError at the call when the largest sweep, the
     interior of dilate max(d, n_max), is over the budget.
     """
-    _sweep_range(d, max(d, n_max), 1, budget)
+    iter_g_matrices_flat(d, max(d, n_max), 1, budget)  # raises at the call; sweeps nothing
 
     def bijects(value: int) -> bool:
         # Both sweeps are row-major and subtracting J keeps that order.

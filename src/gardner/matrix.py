@@ -62,7 +62,7 @@ class SquareMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Scalar]]) -> "SquareMatrix":
-        return cls(tuple(tuple(r) for r in rows))
+        return cls(rows)
 
     @classmethod
     def zero(cls, d: int) -> "SquareMatrix":
@@ -104,12 +104,12 @@ class SquareMatrix:
         return all(x >= 0 for r in self.rows for x in r)
 
     @functools.cached_property
-    def _cleared(self) -> tuple["SquareMatrix", int]:
-        # self as int board n over one denominator D; not a field, so == and hash skip it
+    def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        # int rows n and one denominator D with self = n / D; not a field, so == and hash skip it
         if all(type(x) is int for r in self.rows for x in r):
-            return self, 1
+            return self.rows, 1
         nums, den = linalg.integer_vector(self.flat())
-        return SquareMatrix(tuple(nums[k:k + self.d] for k in range(0, len(nums), self.d))), den
+        return tuple(tuple(nums[k:k + self.d]) for k in range(0, len(nums), self.d)), den
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.d != other.d:
@@ -265,8 +265,7 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
     d = a.d
     if d > guard:
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
-    fractional = {type(x) for row in a.rows for x in row} in ({Fraction}, {int, Fraction})
-    rows = a._cleared[0].rows if fractional else a.rows  # ints and floats: as given
+    rows = a.rows if all(type(x) is int for r in a.rows for x in r) else a._cleared[0]
     sums: dict[int, Scalar] = {0: 0}  # bitmask of used columns -> covered sum
     for row in rows:
         extended: dict[int, Scalar] = {}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gardner import duality, linalg
+from gardner import counting, duality, linalg
 from gardner.duality import (AffineSubspace, Permutation, birkhoff_hull,
                              compressed_check, dual_subspace, gale_pair_check,
                              gale_pair_from_recipe, gardner_hull,
@@ -291,8 +291,9 @@ def test_gorenstein_budget_is_checked_before_any_sweep(monkeypatch, n_max, budge
     # the call raises at once and never starts a sweep.
     def refuse(*args):
         raise AssertionError("a sweep was started")
+        yield
 
-    monkeypatch.setattr(duality, "iter_g_matrices_flat", refuse)
+    monkeypatch.setattr(counting, "_sweep", refuse)
     with pytest.raises(BudgetExceededError, match=f"^{candidates} candidates"):
         gorenstein_check(3, n_max, budget)
 
@@ -433,13 +434,13 @@ def test_compressed_check_reports_a_vertex_off_the_cube(monkeypatch):
 
 @pytest.mark.parametrize("d, n", [(1, 0), (1, 4), (2, 1), (2, 2), (2, 6), (3, 2), (3, 5)])
 def test_gorenstein_sweeps_each_dilate_once(monkeypatch, d, n):
-    calls, sweep = [], duality.iter_g_matrices_flat
+    calls, sweep = [], counting._sweep
 
-    def counted(*args):
+    def counted(*args):  # a generator: records a sweep only once it starts
         calls.append(args)
-        return sweep(*args)
+        yield from sweep(*args)
 
-    monkeypatch.setattr(duality, "iter_g_matrices_flat", counted)
+    monkeypatch.setattr(counting, "_sweep", counted)
     assert gorenstein_check(d, n).passed
     assert len(calls) == (2 * (n - d + 1) if n >= d else 2)
 

@@ -6,8 +6,10 @@ arithmetic, with the same seeded draws, and that the integer checks still
 catch a wrong construction.
 """
 import dataclasses
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -53,11 +55,12 @@ def test_bruteforce_matches_the_definition_with_large_denominators(kind):
     assert outcomes["bumped", True] > 25  # d = 1 boards stay G-matrices when bumped
 
 
-def test_bruteforce_sums_float_entries_as_given():
+def test_bruteforce_reads_float_entries_exactly():
     # 0.1 + 3/10 and 0.2 + 0.2 are both 0.4 in floats but differ exactly; a
-    # board with a float is outside Scalar and is summed as given.
+    # float entry is read as the rational it is, as on the Birkhoff side.
     m = SquareMatrix(((0.1, 0.2), (0.2, Fraction(3, 10))))
-    assert is_g_matrix_bruteforce(m) == rook_sum_by_definition(m) == 0.4
+    assert rook_sum_by_definition(m) == 0.4
+    assert is_g_matrix_bruteforce(m) is None
 
 
 def convex_combination_by_fractions(rng: random.Random, d: int) -> SquareMatrix:
@@ -246,7 +249,8 @@ def test_board_clear_is_cached_and_invisible_to_the_value():
     n, den = used._cleared
     assert used._cleared is used._cleared  # computed once
     assert "_cleared" in vars(used) and "_cleared" not in vars(fresh)
-    assert den == 12 and n.rows == ((6, 36), (-8, 15)) and n.scaled(Fraction(1, den)) == used
+    assert den == 12 and n == ((6, 36), (-8, 15))
+    assert SquareMatrix(n).scaled(Fraction(1, den)) == used
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert [f.name for f in dataclasses.fields(used)] == ["rows"]
     copy = dataclasses.replace(used)
@@ -257,8 +261,16 @@ def test_an_integer_board_is_its_own_clear(monkeypatch):
     monkeypatch.setattr(linalg, "integer_vector", lambda xs: pytest.fail("cleared an int board"))
     board = compose(Labeling((0, 2, 5), (1, 0, 4))).matrix
     n, den = board._cleared
-    assert n is board and den == 1
+    assert n is board.rows and den == 1
     assert duality._has_g_value(board, 12) and not duality._has_line_sums(board, 12)
+    # The cache holds the rows, not the board, so the board dies with its last reference.
+    ref = weakref.ref(board)
+    gc.disable()
+    try:
+        del board
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_gale_pair_check_clears_each_sample_board_once(monkeypatch):
