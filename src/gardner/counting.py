@@ -226,6 +226,8 @@ class CountingPolynomial:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.coefficients, str):  # else each character is read as a coefficient
+            raise ValueError("coefficients must be a sequence of numbers, not a string")
         coeffs = tuple(Fraction(c) for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != 2 * self.d - 1:

@@ -13,7 +13,8 @@ here verify the rook-sum property (over all d! placements in d*2^d steps, and
 by an O(d^2) criterion), read the labels off a certified board's first row
 and column in O(d), and generate boards.
 
-Scalars are Python ints or ``fractions.Fraction``; all arithmetic is exact.
+Scalars are Python ints or ``fractions.Fraction``; all arithmetic is exact, a
+float being read as the Fraction it equals, through one label read (``_labels``).
 Every type is an immutable value, safe to share across threads: the integer
 clear a board caches is deterministic, so a race only computes it twice.
 """
@@ -98,7 +99,7 @@ class SquareMatrix:
         return tuple(x for r in self.rows for x in r)
 
     def total(self) -> Scalar:
-        return sum(x for r in self.rows for x in r)
+        return sum(_exact([x for r in self.rows for x in r]))
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for r in self.rows for x in r)
@@ -188,7 +189,7 @@ class GMatrix:
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
         """Certify an arbitrary matrix, raising ValueError if it fails."""
-        return cls(m, _diagonal_sum(m))
+        return cls(m, sum(itertools.chain(*_labels(m))))
 
     @classmethod
     def zero(cls, d: int) -> "GMatrix":
@@ -220,8 +221,8 @@ class Labeling:
     canonical: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
+        object.__setattr__(self, "col_labels", tuple(_exact(tuple(self.col_labels))))
+        object.__setattr__(self, "row_labels", tuple(_exact(tuple(self.row_labels))))
         if len(self.col_labels) != len(self.row_labels) or not self.col_labels:
             raise ValueError("need d >= 1 column labels and equally many row labels")
         if any(x < 0 for x in self.col_labels + self.row_labels):
@@ -244,13 +245,18 @@ def _check_d_value(d: int, value: int = 0) -> None:
         raise ValueError("value must be >= 0")
 
 
+def _exact(xs: Sequence[Scalar]) -> Sequence[Scalar]:
+    # The one float rule: a float is read as the Fraction it equals, other scalars as given.
+    return [Fraction(x) if type(x) is float else x for x in xs] if float in map(type, xs) else xs
+
+
 def permutation_sum(a: SquareMatrix, sigma: Sequence[int]) -> Scalar:
     """Sum of the entries covered by the rook placement sigma (1-based images)."""
     if len(sigma) != a.d:
         raise ValueError(f"permutation length {len(sigma)} != matrix side {a.d}")
     if sorted(sigma) != list(range(1, a.d + 1)):
         raise ValueError("not a bijection on 1..d")
-    return sum(a.rows[i][sigma[i] - 1] for i in range(a.d))
+    return sum(_exact([a.rows[i][sigma[i] - 1] for i in range(a.d)]))
 
 
 def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Scalar | None:
@@ -278,7 +284,7 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
         sums = extended
     if not all(x >= 0 for row in rows for x in row):  # most boards fail the sweep first
         return None
-    return _diagonal_sum(a)
+    return sum(itertools.chain(*_labels(a)))
 
 
 def _exchange_witness(a: SquareMatrix, i: int, j: int) -> Witness:
@@ -291,74 +297,67 @@ def _exchange_witness(a: SquareMatrix, i: int, j: int) -> Witness:
     cols.insert(i - 2, j)  # the columns of rows 2..d
     sigma = (1, *cols)
     sigma_prime = (j, *cols[:i - 2], 1, *cols[i - 1:])
-    shared = sum(rows[r][c - 1] for r, c in enumerate(sigma) if r != 0 and r != i - 1)
     top, ri = rows[0], rows[i - 1]
+    a11, aij, a1j, ai1, *shared = _exact([top[0], ri[j - 1], top[j - 1], ri[0]] + [
+        rows[r][c - 1] for r, c in enumerate(cols, 1) if r != i - 1])
     return Witness(quadruple=(1, 1, i, j), sigma=sigma, sigma_prime=sigma_prime,
-                   sums=(shared + top[0] + ri[j - 1], shared + top[j - 1] + ri[0]))
+                   sums=(sum(shared) + a11 + aij, sum(shared) + a1j + ai1))
 
 
-def _exchange_violations(a: SquareMatrix) -> Iterator[tuple[int, int]]:
-    # (i, j), 1-based, of each violated A[i,j] + A[1,1] = A[1,j] + A[i,1]
-    top = a.rows[0]
-    for i in range(1, a.d):
-        ri = a.rows[i]
-        base = ri[0] - top[0]
-        for j in range(1, a.d):
-            if ri[j] - top[j] != base:
-                yield i + 1, j + 1
+def _labels(a: SquareMatrix) -> tuple[list[Scalar], list[Scalar]]:
+    # lambda_j = A[1,j] - A[1,1] + m and mu_i = A[i,1] - m, m the least entry of column 1,
+    # read in O(d): a board is a G-matrix exactly when it is their addition table and
+    # min(lambda) >= 0; then its value is sum(lambda) + sum(mu) and min(mu) = 0.
+    top, first_col = _exact(a.rows[0]), _exact([r[0] for r in a.rows])
+    m = min(first_col)
+    shift = m - top[0]
+    return [x + shift for x in top], [x - m for x in first_col]
+
+
+def _exchange_violations(a: SquareMatrix, lam: list, mu: list) -> Iterator[tuple[int, int]]:
+    # (i, j), 1-based, of each A[i,j] != mu_i + lambda_j off row 1 and column 1
+    for i, (ri, mi) in enumerate(zip(a.rows[1:], mu[1:]), 2):
+        for j in range(1, len(lam)):
+            if ri[j] != mi + lam[j]:
+                yield i, j + 1
 
 
 def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
-    """O(d^2) rook-sum check.
+    """O(d^2) rook-sum check on the labels lambda, mu read off row 1 and column 1.
 
-    Verifies A[i,j] = A[1,j] + A[i,1] - A[1,1] for all i, j >= 2 (every 2x2
-    exchange condition follows by transitivity) and nonnegativity, which on
-    such a board is min(row 1) + min(column 1) - A[1,1] >= 0, read in O(d).
-    On success the value is the main-diagonal sum. On failure the result
-    carries the first negative entry in row-major order if there is one,
-    else a Witness with two placements whose sums differ.
+    Verifies A[i,j] = mu_i + lambda_j for all i, j >= 2 (every 2x2 exchange
+    condition follows by transitivity) and min(lambda) >= 0. On failure the
+    result carries the first negative entry in row-major order if there is
+    one, else a Witness with two placements whose sums differ.
     """
-    rows = a.rows
-    top = rows[0]
-    violation = next(_exchange_violations(a), None)
-    if violation is None and min(top) + min(r[0] for r in rows) - top[0] >= 0:
-        return FastCheck(_diagonal_sum(a))
+    lam, mu = _labels(a)
+    violation = next(_exchange_violations(a, lam, mu), None)
+    if violation is None and min(lam) >= 0:
+        return FastCheck(sum(lam) + sum(mu))
     # With no violation the minimum is negative, so this scan returns.
-    for i, row in enumerate(rows):
+    for i, row in enumerate(a.rows):
         for j, x in enumerate(row):
             if x < 0:
                 return FastCheck(None, negative_entry=(i + 1, j + 1))
     return FastCheck(None, witness=_exchange_witness(a, *violation))
 
 
-def _diagonal_sum(a: SquareMatrix) -> Scalar:
-    # The identity placement's sum: both rook-sum checks return it as the value.
-    return sum(a.rows[i][i] for i in range(a.d))
-
-
 DecompositionOrder = Literal["columns-first", "rows-first"]
 
 
 def decompose_canonical(g: GMatrix, order: DecompositionOrder = "columns-first") -> Labeling:
-    """Recover the labels whose addition table is the given board.
+    """Recover the labels whose addition table is the given board, in O(d).
 
-    Read off the first row and column in O(d): a certified board has
-    A[i,j] = A[i,1] + A[1,j] - A[1,1], so with m the smallest entry of the
-    first column, mu_i = A[i,1] - m and lambda_j = A[1,j] - A[1,1] + m.
-    These lambda_j are the column minima and min(mu) = 0 (columns-first, the
-    default); rows-first shifts by s = min(lambda) to force min(lambda) = 0.
+    Columns-first (the default) makes min(mu) = 0 and the lambda_j the column
+    minima; rows-first shifts by s = min(lambda) to force min(lambda) = 0.
     """
     if order not in ("columns-first", "rows-first"):
         raise ValueError(f"unknown order {order!r}")
-    top = g.matrix.row(1)
-    first_col = g.matrix.col(1)
-    m = min(first_col)
-    lam = [x - top[0] + m for x in top]
-    mu = [x - m for x in first_col]
+    lam, mu = _labels(g.matrix)
     if order == "rows-first":
         s = min(lam)
         lam, mu = [x - s for x in lam], [x + s for x in mu]
-    return Labeling(tuple(lam), tuple(mu))
+    return Labeling(lam, mu)
 
 
 def compose(lab: Labeling) -> GMatrix:

@@ -23,7 +23,7 @@ from typing import Literal
 
 from . import linalg
 from .matrix import (GMatrix, Scalar, SquareMatrix, decompose_canonical,
-                     _check_d_value, _exchange_violations)
+                     _check_d_value, _exchange_violations, _labels)
 
 VertexKind = Literal["R", "C"]
 
@@ -130,7 +130,7 @@ def affine_hull_residual(a: SquareMatrix,
     polytope.
     """
     sum_residual = abs(a.total() - a.d * dilation)
-    return sum_residual, [(1, 1, i, j) for i, j in _exchange_violations(a)]
+    return sum_residual, [(1, 1, i, j) for i, j in _exchange_violations(a, *_labels(a))]
 
 
 def triangulation_cells(d: int, omitted_kind: VertexKind = "R") -> list[LatticeSimplex]:

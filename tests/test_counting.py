@@ -372,6 +372,14 @@ def test_counting_polynomial_validation():
         CountingPolynomial(1, (Fraction(-1),))
 
 
+def test_counting_polynomial_rejects_a_string_of_coefficients():
+    # "123" would otherwise be read one character at a time, as 1 + 2N + 3N^2.
+    with pytest.raises(ValueError, match="not a string"):
+        CountingPolynomial.from_json_dict({"d": 2, "coeffs": "123"})
+    with pytest.raises(ValueError, match="not a string"):
+        CountingPolynomial(2, "123")
+
+
 # ------------------------------------------------------------ interior counts
 
 def test_interior_counts():

@@ -13,7 +13,7 @@ from gardner.matrix import (FactorialGuardError, FastCheck, GMatrix, Labeling,
                             SquareMatrix, Witness, compose, decompose_canonical,
                             is_g_matrix_bruteforce, is_g_matrix_fast,
                             permutation_sum, scale, trick_generate)
-from gardner.polytope import locate
+from gardner.polytope import affine_hull_residual, locate
 
 
 def mat(rows) -> SquareMatrix:
@@ -278,6 +278,90 @@ def test_value_zero_forces_zero_matrix():
             check = is_g_matrix_fast(m)
             if check and check.value == 0:
                 assert m == SquareMatrix.zero(d)
+
+
+# ------------------------------------------------------------ float entries
+
+def test_from_matrix_reads_float_entries_exactly():
+    # 0.3 + 1.0 == 0.2 + 1.1 in floats, but not exactly: the board is no G-matrix.
+    m = mat([[0.3, 0.2], [1.1, 1.0]])
+    assert 0.3 + 1.0 == 0.2 + 1.1 and is_g_matrix_bruteforce(m) is None
+    assert not is_g_matrix_fast(m)
+    with pytest.raises(ValueError, match=r"violated quadruple \(1, 1, 2, 2\)"):
+        GMatrix.from_matrix(m)
+    assert affine_hull_residual(m)[1] == [(1, 1, 2, 2)]
+
+
+def test_witness_sums_float_entries_exactly():
+    # Both placements sum to 0.4 in floats; read exactly, the sums differ.
+    m = mat([[0.1, 0.2], [0.2, 0.30000000000000004]])
+    w = is_g_matrix_fast(m).witness
+    assert 0.1 + 0.30000000000000004 == 0.2 + 0.2
+    assert w.sums[0] != w.sums[1]
+    assert w.sums == (permutation_sum(m, w.sigma), permutation_sum(m, w.sigma_prime))
+    assert w.sums == (Fraction(0.1) + Fraction(0.30000000000000004), 2 * Fraction(0.2))
+
+
+def test_float_boards_have_exact_values():
+    # A board of 0.5s has the value 1 as a Fraction, as do its labels and total.
+    m = mat([[0.5, 0.5], [0.5, 0.5]])
+    for value in (is_g_matrix_fast(m).value, is_g_matrix_bruteforce(m),
+                  GMatrix.from_matrix(m).value, m.total() / 2, permutation_sum(m, (2, 1))):
+        assert (value, type(value)) == (1, Fraction)
+    lab = decompose_canonical(GMatrix.from_matrix(m))
+    assert (lab.col_labels, lab.row_labels) == ((Fraction(1, 2),) * 2, (0, 0))
+
+
+def test_fast_matches_bruteforce_on_seeded_float_boards():
+    entries = (0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1, 1.1, 2)
+    rng = random.Random("float-boards")
+    accepted = 0
+    for _ in range(20_000):
+        d = rng.choice((2, 3))
+        flat = rng.choices(entries, k=d * d)
+        m = SquareMatrix(tuple(flat[i:i + d] for i in range(0, d * d, d)))
+        value = is_g_matrix_fast(m).value
+        assert value == is_g_matrix_bruteforce(m), m.rows
+        accepted += value is not None
+    assert accepted > 100
+
+
+def test_float_labels_compose_exact_boards():
+    # compose skips the check; Labeling reads each float label as the Fraction it equals.
+    rng = random.Random("float-labels")
+    assert Labeling((0.1,), (0.2,)) == Labeling((Fraction(0.1),), (Fraction(0.2),))
+    for _ in range(2000):
+        d = rng.randint(2, 4)
+        digits = rng.randint(1, 3)
+        lam, mu = ([round(rng.uniform(0, 5), digits) for _ in range(d)] for _ in range(2))
+        g = compose(Labeling(lam, mu))
+        assert is_g_matrix_bruteforce(g.matrix) == g.value == sum(map(Fraction, lam + mu))
+
+
+mixed_scalars = st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=6),
+                          st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 1.1, 2.5]))
+mixed_boards = st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(mixed_scalars, min_size=d, max_size=d),
+    st.lists(mixed_scalars, min_size=d, max_size=d),
+    st.none() | st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+                          st.sampled_from([1, -1, Fraction(1, 3), 0.5, -0.1]))))
+
+
+@settings(deadline=None)
+@given(mixed_boards)
+def test_fast_matches_bruteforce_on_mixed_label_tables(board):
+    # Tables of int, Fraction and float labels added in the labels' own
+    # arithmetic (so a float sum may round), sometimes with one entry tampered.
+    lam, mu, tamper = board
+    rows = [[m + l for l in lam] for m in mu]
+    if tamper is not None:
+        i, j, delta = tamper
+        rows[i][j] += delta
+    m = SquareMatrix(tuple(map(tuple, rows)))
+    value = is_g_matrix_fast(m).value
+    assert value == is_g_matrix_bruteforce(m)
+    if value is not None:
+        assert compose(decompose_canonical(GMatrix.from_matrix(m))).matrix == m
 
 
 # ------------------------------------------------------------ decomposition
