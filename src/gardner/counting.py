@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from . import linalg
 from .matrix import BudgetExceededError, Scalar, _check_d_value, _composition_from_bars
 
 #: Default ceiling on brute-force candidate counts.
@@ -228,7 +229,7 @@ class CountingPolynomial:
     def __post_init__(self) -> None:
         if isinstance(self.coefficients, str):  # else each character is read as a coefficient
             raise ValueError("coefficients must be a sequence of numbers, not a string")
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(map(Fraction, linalg.exact(tuple(self.coefficients))))
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != 2 * self.d - 1:
             raise ValueError("expected degree exactly 2d-2")

@@ -212,7 +212,7 @@ class AffineSubspace:
         if not reduce and len(pivots) != len(directions):
             raise ValueError("directions are linearly dependent")
         basis = tuple(map(tuple, reduced))
-        q = tuple(map(Fraction, point))
+        q = tuple(map(Fraction, linalg.exact(point)))
         if basis:  # subtract the orthogonal projection onto the span, via the Gram system
             gram = [[linalg.dot(u, v) for v in basis] for u in basis]
             coeffs = linalg.solve_unique(gram, [linalg.dot(u, q) for u in basis])
@@ -224,7 +224,7 @@ class AffineSubspace:
         return len(self.basis)
 
     def contains(self, point: Sequence) -> bool:
-        diff = [x - qx for x, qx in zip(map(Fraction, point), self.q, strict=True)]
+        diff = [x - qx for x, qx in zip(map(Fraction, linalg.exact(point)), self.q, strict=True)]
         return linalg.rank(list(self.basis) + [diff]) == len(self.basis)
 
     def spanning_points(self) -> list[tuple[list[int], int]]:

@@ -4,9 +4,9 @@ Row reduction, rank, null spaces, unique solves, and an integer determinant,
 all from one kernel: ``_eliminate`` runs fraction-free Gauss-Jordan on integer
 rows (Bareiss, Math. Comp. 1968), so every entry stays a minor of the input.
 ``rref`` clears each row to integers once (``integer_vector``) and divides by
-the pivots at the end; ``det_bareiss`` reads the last pivot. Rows may hold
-ints, Fractions and floats, each read exactly; ``dot`` takes ints and
-Fractions. Nothing here rounds.
+the pivots at the end; ``det_bareiss`` reads the last pivot. ``exact`` is the
+package's one scalar rule, so nothing rounds: a float is the Fraction it equals
+and an infinity or a NaN a ValueError. ``dot`` takes ints and Fractions.
 """
 from __future__ import annotations
 
@@ -26,11 +26,21 @@ def dot(u: Sequence, v: Sequence) -> int | Fraction:
     return sum(map(operator.mul, u, v))
 
 
+def exact(xs: Sequence) -> Sequence:
+    """xs with each float read as the Fraction it equals (xs itself if none); inf, NaN raise."""
+    if float not in map(type, xs):
+        return xs
+    try:
+        return [Fraction(x) if type(x) is float else x for x in xs]
+    except (OverflowError, ValueError):  # Fraction(inf) overflows; Fraction(nan) is a ValueError
+        raise ValueError("a float entry is not finite (an infinity or a NaN)") from None
+
+
 def integer_vector(xs: Sequence) -> tuple[list[int], int]:
     """Integers n_k and D > 0 with n_k / D == xs[k]; ints, Fractions and floats read exactly."""
     if all(type(x) is int for x in xs):
         return list(xs), 1
-    ratios = [x.as_integer_ratio() for x in xs]
+    ratios = [x.as_integer_ratio() for x in exact(xs)]
     den = math.lcm(*(b for _, b in ratios))
     return [a * (den // b) for a, b in ratios], den
 

@@ -13,8 +13,8 @@ here verify the rook-sum property (over all d! placements in d*2^d steps, and
 by an O(d^2) criterion), read the labels off a certified board's first row
 and column in O(d), and generate boards.
 
-Scalars are Python ints or ``fractions.Fraction``; all arithmetic is exact, a
-float being read as the Fraction it equals, through one label read (``_labels``).
+Scalars are ints or ``fractions.Fraction``: the one scalar rule, ``linalg.exact``, reads
+a float as the Fraction it equals and refuses inf and NaN; ``_labels`` reads labels once.
 Every type is an immutable value, safe to share across threads: the integer
 clear a board caches is deterministic, so a race only computes it twice.
 """
@@ -99,7 +99,7 @@ class SquareMatrix:
         return tuple(x for r in self.rows for x in r)
 
     def total(self) -> Scalar:
-        return sum(_exact([x for r in self.rows for x in r]))
+        return sum(linalg.exact(self.flat()))
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for r in self.rows for x in r)
@@ -188,7 +188,7 @@ class GMatrix:
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
-        """Certify an arbitrary matrix, raising ValueError if it fails."""
+        """Certify an arbitrary matrix; ValueError if it fails or reads an inf or NaN float."""
         return cls(m, sum(itertools.chain(*_labels(m))))
 
     @classmethod
@@ -221,8 +221,8 @@ class Labeling:
     canonical: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "col_labels", tuple(_exact(tuple(self.col_labels))))
-        object.__setattr__(self, "row_labels", tuple(_exact(tuple(self.row_labels))))
+        object.__setattr__(self, "col_labels", tuple(linalg.exact(tuple(self.col_labels))))
+        object.__setattr__(self, "row_labels", tuple(linalg.exact(tuple(self.row_labels))))
         if len(self.col_labels) != len(self.row_labels) or not self.col_labels:
             raise ValueError("need d >= 1 column labels and equally many row labels")
         if any(x < 0 for x in self.col_labels + self.row_labels):
@@ -245,18 +245,13 @@ def _check_d_value(d: int, value: int = 0) -> None:
         raise ValueError("value must be >= 0")
 
 
-def _exact(xs: Sequence[Scalar]) -> Sequence[Scalar]:
-    # The one float rule: a float is read as the Fraction it equals, other scalars as given.
-    return [Fraction(x) if type(x) is float else x for x in xs] if float in map(type, xs) else xs
-
-
 def permutation_sum(a: SquareMatrix, sigma: Sequence[int]) -> Scalar:
     """Sum of the entries covered by the rook placement sigma (1-based images)."""
     if len(sigma) != a.d:
         raise ValueError(f"permutation length {len(sigma)} != matrix side {a.d}")
     if sorted(sigma) != list(range(1, a.d + 1)):
         raise ValueError("not a bijection on 1..d")
-    return sum(_exact([a.rows[i][sigma[i] - 1] for i in range(a.d)]))
+    return sum(linalg.exact([a.rows[i][sigma[i] - 1] for i in range(a.d)]))
 
 
 def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Scalar | None:
@@ -298,7 +293,7 @@ def _exchange_witness(a: SquareMatrix, i: int, j: int) -> Witness:
     sigma = (1, *cols)
     sigma_prime = (j, *cols[:i - 2], 1, *cols[i - 1:])
     top, ri = rows[0], rows[i - 1]
-    a11, aij, a1j, ai1, *shared = _exact([top[0], ri[j - 1], top[j - 1], ri[0]] + [
+    a11, aij, a1j, ai1, *shared = linalg.exact([top[0], ri[j - 1], top[j - 1], ri[0]] + [
         rows[r][c - 1] for r, c in enumerate(cols, 1) if r != i - 1])
     return Witness(quadruple=(1, 1, i, j), sigma=sigma, sigma_prime=sigma_prime,
                    sums=(sum(shared) + a11 + aij, sum(shared) + a1j + ai1))
@@ -308,7 +303,7 @@ def _labels(a: SquareMatrix) -> tuple[list[Scalar], list[Scalar]]:
     # lambda_j = A[1,j] - A[1,1] + m and mu_i = A[i,1] - m, m the least entry of column 1,
     # read in O(d): a board is a G-matrix exactly when it is their addition table and
     # min(lambda) >= 0; then its value is sum(lambda) + sum(mu) and min(mu) = 0.
-    top, first_col = _exact(a.rows[0]), _exact([r[0] for r in a.rows])
+    top, first_col = linalg.exact(a.rows[0]), linalg.exact([r[0] for r in a.rows])
     m = min(first_col)
     shift = m - top[0]
     return [x + shift for x in top], [x - m for x in first_col]
@@ -328,7 +323,8 @@ def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
     Verifies A[i,j] = mu_i + lambda_j for all i, j >= 2 (every 2x2 exchange
     condition follows by transitivity) and min(lambda) >= 0. On failure the
     result carries the first negative entry in row-major order if there is
-    one, else a Witness with two placements whose sums differ.
+    one, else a Witness with two placements whose sums differ. A float it
+    reads that is infinite or NaN (row 1, column 1, the witness) raises ValueError.
     """
     lam, mu = _labels(a)
     violation = next(_exchange_violations(a, lam, mu), None)
@@ -418,7 +414,7 @@ def scale(g: GMatrix, c: Scalar) -> GMatrix:
 
     Scaling a board of value N by 1/N yields a board of value 1.
     """
-    c = Fraction(c)
+    c = Fraction(linalg.exact((c,))[0])
     if c <= 0:
         raise ValueError("scale factor must be positive")
     return GMatrix._certified(g.matrix.scaled(c), g.value * c)

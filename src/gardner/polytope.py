@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import Literal
 
 from . import linalg
-from .matrix import (GMatrix, Scalar, SquareMatrix, decompose_canonical,
-                     _check_d_value, _exchange_violations, _labels)
+from .matrix import GMatrix, Scalar, SquareMatrix, _check_d_value, _exchange_violations, _labels
 
 VertexKind = Literal["R", "C"]
 
@@ -127,9 +126,9 @@ def affine_hull_residual(a: SquareMatrix,
     exchange equation A[i,j] + A[k,l] = A[i,l] + A[k,j], reported through the
     first-row/first-column reduction as quadruples (1, 1, i, j). Both parts
     are zero/empty exactly when A lies in the affine hull of the dilated
-    polytope.
+    polytope. Exact: a float entry or dilation is read as the Fraction it equals.
     """
-    sum_residual = abs(a.total() - a.d * dilation)
+    sum_residual = abs(a.total() - a.d * linalg.exact((dilation,))[0])
     return sum_residual, [(1, 1, i, j) for i, j in _exchange_violations(a, *_labels(a))]
 
 
@@ -218,8 +217,8 @@ def _weights(g: GMatrix, cell: LatticeSimplex,
         raise ValueError("dimension mismatch")
     if g.value == 0:
         raise ValueError("the zero board has no normalized point")
-    lab, d = decompose_canonical(g), g.d
-    s = [*lab.col_labels, *(-x for x in lab.row_labels)]  # weight +-(s - t), + on C_j
+    (lam, mu), d = _labels(g.matrix), g.d
+    s = [*lam, *(-x for x in mu)]  # weight +-(s - t), + on C_j
     at = [v.index - 1 + d * (v.kind == "R") for v in cell.vertices]
     omitted = {s[k] for k in set(range(2 * d)).difference(at)}
     if len(omitted) != 1:

@@ -130,6 +130,14 @@ def test_integer_vector():
     assert linalg.integer_vector([]) == ([], 1)
 
 
+def test_exact_reads_floats_as_their_fractions_and_passes_the_rest_through():
+    plain = (1, Fraction(1, 3), -2)
+    assert linalg.exact(plain) is plain  # no float: the input itself, uncopied
+    read = linalg.exact((0.1, 2, Fraction(1, 3), -0.5))
+    assert read == [Fraction(3602879701896397, 2 ** 55), 2, Fraction(1, 3), Fraction(-1, 2)]
+    assert [type(x) for x in read] == [Fraction, int, Fraction, Fraction]
+
+
 def test_dot_keeps_the_arithmetic_of_its_entries():
     assert linalg.dot([1, 2], [3, 4]) == 11 and type(linalg.dot([1, 2], [3, 4])) is int
     assert linalg.dot([Fraction(1, 2), 1], [3, Fraction(1, 3)]) == Fraction(11, 6)

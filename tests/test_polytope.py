@@ -255,6 +255,15 @@ def test_affine_hull_residual_barycenter():
         assert affine_hull_residual(center) == (0, [])
 
 
+@pytest.mark.parametrize("dilation, residual", [
+    (Fraction(1, 10), 0), (1, Fraction(9, 5)), (0.1, Fraction(1, 90071992547409920))])
+def test_affine_hull_residual_reads_the_dilation_exactly(dilation, residual):
+    # 0.1 is 3602879701896397/2^55, so the total 1/5 misses 2 * 0.1 by 1/(5 * 2^54)
+    board = SquareMatrix(((Fraction(1, 10), 0), (0, Fraction(1, 10))))
+    sum_res, _ = affine_hull_residual(board, dilation)
+    assert sum_res == residual and type(sum_res) is Fraction
+
+
 def test_affine_hull_residual_identity():
     sum_res, violations = affine_hull_residual(SquareMatrix.identity(2))
     assert sum_res == 0  # trace is 2 = d, but the exchange equation fails

@@ -8,11 +8,13 @@ import pytest
 
 from gardner import linalg
 from gardner.boards import BoardDocument, BoardParseError
-from gardner.counting import FStarVector
-from gardner.duality import AffineSubspace, gale_pair_from_recipe
-from gardner.matrix import Labeling, SquareMatrix, compose
-from gardner.polytope import (Vertex, barycentric, cell_intersection, locate,
-                              triangulation_cells)
+from gardner.counting import CountingPolynomial, FStarVector
+from gardner.duality import (AffineSubspace, HDescription, birkhoff_hull, gale_pair_from_recipe,
+                             is_doubly_stochastic)
+from gardner.matrix import (GMatrix, Labeling, SquareMatrix, compose, is_g_matrix_bruteforce,
+                            is_g_matrix_fast, scale)
+from gardner.polytope import (Vertex, affine_hull_residual, barycentric, cell_intersection,
+                              locate, triangulation_cells)
 
 
 def raises(exc, message):
@@ -125,6 +127,38 @@ def test_feasibility_rejects_a_point_of_the_wrong_dimension():
     line = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
     with raises(ValueError, "point has wrong dimension"):
         gale_pair_from_recipe(line, sample_count=1).p.is_feasible([1, 1, 0])
+
+
+# ------------------------------------------------------- the one scalar rule
+
+NOT_FINITE = "a float entry is not finite (an infinity or a NaN)"
+
+# Each reader of a scalar, fed one non-finite float x at a place the call reads.
+SCALAR_READERS = {
+    "GMatrix.from_matrix": lambda x: GMatrix.from_matrix(SquareMatrix(((x, 1), (1, 1)))),
+    "is_g_matrix_fast": lambda x: is_g_matrix_fast(SquareMatrix(((1, x), (1, 1)))),
+    "is_g_matrix_bruteforce": lambda x: is_g_matrix_bruteforce(SquareMatrix(((x, 1), (1, 1)))),
+    "is_doubly_stochastic": lambda x: is_doubly_stochastic(SquareMatrix(((x, 0), (0, 1)))),
+    "HDescription.is_feasible": lambda x: HDescription(2, (((1, 1), 1),)).is_feasible([x, 0]),
+    "Labeling": lambda x: Labeling((x, 1), (0, 0)),
+    "SquareMatrix.total": lambda x: SquareMatrix(((1, 2), (3, x))).total(),
+    "scale": lambda x: scale(GMatrix.zero(2), x),
+    "AffineSubspace.from_point_and_directions": lambda x: (
+        AffineSubspace.from_point_and_directions([x, 0], [])),
+    "AffineSubspace.from_point_and_directions(directions)": lambda x: (
+        AffineSubspace.from_point_and_directions([1, 0], [[x, 1]])),
+    "AffineSubspace.contains": lambda x: birkhoff_hull(2).contains([x, 0, 0, 1]),
+    "linalg.rref": lambda x: linalg.rref([[1, x], [0, 1]]),
+    "CountingPolynomial": lambda x: CountingPolynomial(2, (0, x, 1)),
+    "affine_hull_residual": lambda x: affine_hull_residual(SquareMatrix.identity(2), x),
+}
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")], ids=str)
+@pytest.mark.parametrize("reader", SCALAR_READERS.values(), ids=SCALAR_READERS)
+def test_every_scalar_reader_rejects_a_float_that_is_not_finite(reader, x):
+    with raises(ValueError, NOT_FINITE):
+        reader(x)
 
 
 # ------------------------------------------------------------------ boards
