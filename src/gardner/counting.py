@@ -241,7 +241,7 @@ class CountingPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, n: Scalar) -> Scalar:
-        acc: Scalar = 0
+        acc, n = 0, linalg.exact((n,))[0]
         for c in reversed(self.coefficients):
             acc = acc * n + c
         return acc

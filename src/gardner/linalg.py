@@ -5,8 +5,8 @@ all from one kernel: ``_eliminate`` runs fraction-free Gauss-Jordan on integer
 rows (Bareiss, Math. Comp. 1968), so every entry stays a minor of the input.
 ``rref`` clears each row to integers once (``integer_vector``) and divides by
 the pivots at the end; ``det_bareiss`` reads the last pivot. ``exact`` is the
-package's one scalar rule, so nothing rounds: a float is the Fraction it equals
-and an infinity or a NaN a ValueError. ``dot`` takes ints and Fractions.
+package's one scalar rule, and every reader, ``dot`` too, keeps it, so nothing
+rounds: a float is the Fraction it equals and an infinity or a NaN a ValueError.
 """
 from __future__ import annotations
 
@@ -20,10 +20,14 @@ _ZERO = Fraction(0)  # the one zero entry of every rref and nullspace row
 
 
 def dot(u: Sequence, v: Sequence) -> int | Fraction:
-    """The inner product sum u_k * v_k, in the arithmetic of the entries."""
+    """The exact inner product sum u_k * v_k: a float or overflowing sum is redone exactly."""
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
-    return sum(map(operator.mul, u, v))
+    try:
+        s = sum(map(operator.mul, u, v))
+    except OverflowError:  # a float met an int or Fraction too large for a float
+        s = 0.0
+    return sum(map(operator.mul, exact(u), exact(v))) if type(s) is float else s
 
 
 def exact(xs: Sequence) -> Sequence:

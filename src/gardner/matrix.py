@@ -115,14 +115,15 @@ class SquareMatrix:
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        return SquareMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
+        return SquareMatrix(tuple(tuple(a + b for a, b in zip(linalg.exact(ra), linalg.exact(rb)))
                                   for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
         return self + other.scaled(-1)
 
     def scaled(self, c: Scalar) -> "SquareMatrix":
-        return SquareMatrix(tuple(tuple(x * c for x in r) for r in self.rows))
+        c = linalg.exact((c,))[0]
+        return SquareMatrix(tuple(tuple(x * c for x in linalg.exact(r)) for r in self.rows))
 
     def __str__(self) -> str:
         cells = [list(map(str, r)) for r in self.rows]
@@ -167,10 +168,10 @@ class GMatrix:
     """A matrix certified to have constant rook-placement sums.
 
     Construction validates the certificate, so a ``GMatrix`` instance is
-    always genuinely a G-matrix of the stated value. ``compose`` and
-    ``scale`` are certified by construction and skip the check: an addition
-    table of nonnegative labels is a G-matrix of value sum(lambda) +
-    sum(mu), and c > 0 times a G-matrix of value N is one of value c*N.
+    always genuinely a G-matrix of the stated value. ``compose`` and ``scale``
+    are certified by construction and skip the check: an addition table of
+    nonnegative labels is a G-matrix of value sum(lambda) + sum(mu), and c > 0
+    times one of value N, read exactly (float boards too), is one of value c*N.
     """
 
     matrix: SquareMatrix
@@ -417,4 +418,4 @@ def scale(g: GMatrix, c: Scalar) -> GMatrix:
     c = Fraction(linalg.exact((c,))[0])
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    return GMatrix._certified(g.matrix.scaled(c), g.value * c)
+    return GMatrix._certified(g.matrix.scaled(c), linalg.exact((g.value,))[0] * c)

@@ -232,7 +232,7 @@ def _weights(g: GMatrix, cell: LatticeSimplex,
 
 def project_pi(a: SquareMatrix) -> tuple[Scalar, ...]:
     """Linear projection to R^(2d-2): first row (tail) and first column
-    (tail, shifted by the corner).
+    (tail, shifted by the corner), each read through ``linalg.exact``.
 
     pi(A) = (A[1,2], ..., A[1,d], A[2,1] - A[1,1], ..., A[d,1] - A[1,1]);
     it sends C_j to e_(j-1) (with e_0 = 0) and R_(i+1) to e_(d-1+i), so each
@@ -240,8 +240,8 @@ def project_pi(a: SquareMatrix) -> tuple[Scalar, ...]:
     """
     if a.d < 2:
         raise ValueError("projection needs d >= 2")
-    first_row = a.rows[0]
-    return first_row[1:] + tuple(row[0] - first_row[0] for row in a.rows[1:])
+    top, first_col = linalg.exact(a.rows[0]), linalg.exact(a.col(1))
+    return tuple(top[1:]) + tuple(x - top[0] for x in first_col[1:])
 
 
 def unimodularity_check(cell: LatticeSimplex) -> bool:

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from gardner import linalg
-from gardner.duality import birkhoff_hull, dual_subspace, gardner_hull
+from gardner.counting import interpolate
+from gardner.duality import birkhoff_hull, dual_subspace, gardner_hull, pairing
 from gardner.linalg import rref
+from gardner.matrix import SquareMatrix
+from gardner.polytope import project_pi
 
 
 def test_rref_identity_like():
@@ -142,6 +145,33 @@ def test_dot_keeps_the_arithmetic_of_its_entries():
     assert linalg.dot([1, 2], [3, 4]) == 11 and type(linalg.dot([1, 2], [3, 4])) is int
     assert linalg.dot([Fraction(1, 2), 1], [3, Fraction(1, 3)]) == Fraction(11, 6)
     assert linalg.dot([], []) == 0
+
+
+FLOATS = SquareMatrix(((0.1, 0.2), (0.2, 0.1)))
+TENTH, FIFTH = Fraction(0.1), Fraction(0.2)  # the rationals the floats 0.1 and 0.2 are
+
+# Each operation fed floats, and the exact Fraction (or Fractions) it must return.
+FLOAT_READS = {
+    "linalg.dot": (lambda: linalg.dot([0.1, 0.2], [0.1, 0.2]), TENTH ** 2 + FIFTH ** 2),
+    "linalg.dot, too large for a float": (lambda: linalg.dot([10 ** 400], [0.5]),
+                                          Fraction(10 ** 400, 2)),
+    "pairing": (lambda: pairing(FLOATS, FLOATS), 2 * TENTH ** 2 + 2 * FIFTH ** 2),
+    "evaluate": (lambda: interpolate(2).evaluate(0.1), (TENTH + 1) ** 2),  # g_2(N) = (N+1)^2
+    "project_pi": (lambda: project_pi(SquareMatrix(((0.1, 0.2), (1e17, 0.4)))),
+                   (FIFTH, Fraction(1e17) - TENTH)),
+    "SquareMatrix.scaled": (lambda: SquareMatrix(((1, 2), (3, 4))).scaled(0.1).flat(),
+                            (TENTH, 2 * TENTH, 3 * TENTH, 4 * TENTH)),
+    "SquareMatrix.__add__": (lambda: (FLOATS + FLOATS).flat(),
+                             (2 * TENTH, 2 * FIFTH, 2 * FIFTH, 2 * TENTH)),
+    "SquareMatrix.__sub__": (lambda: (FLOATS - FLOATS).flat(), (0,) * 4),
+}
+
+
+@pytest.mark.parametrize("call, want", FLOAT_READS.values(), ids=FLOAT_READS)
+def test_every_operation_reads_floats_exactly(call, want):
+    got = call()
+    assert got == want
+    assert {type(x) for x in (got if isinstance(got, tuple) else (got,))} == {Fraction}
 
 
 def test_nullspace_is_its_own_reduced_row_echelon_form():

@@ -622,3 +622,19 @@ def test_square_matrix_validates():
     assert m.flat() == (1, 2, 3, 4) and m.total() == 10
     with pytest.raises(IndexError):
         m.entry(0, 1)
+
+
+def test_scale_keeps_float_boards_g_matrices_of_their_value():
+    # float addition tables of dyadic labels, scaled by 1/k: every entry is read exactly
+    rng = random.Random(7)
+    labels = (0, 0.25, 0.5, 0.75, 1.5, 2, 3)
+    for _ in range(2000):
+        d = rng.randint(2, 4)
+        lam, mu = ([rng.choice(labels) for _ in range(d)] for _ in range(2))
+        board = SquareMatrix(tuple(tuple(float(m + x) for x in lam) for m in mu))
+        s = scale(GMatrix.from_matrix(board), Fraction(1, rng.randint(2, 40)))
+        assert is_g_matrix_bruteforce(s.matrix) == s.value, board
+    # a float stated value is read exactly too
+    s = scale(GMatrix(SquareMatrix(((1, 1), (1, 1))), 2.0), Fraction(1, 3))
+    assert s.value == is_g_matrix_bruteforce(s.matrix) == Fraction(2, 3)
+    assert type(s.value) is Fraction

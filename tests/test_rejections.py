@@ -10,11 +10,11 @@ from gardner import linalg
 from gardner.boards import BoardDocument, BoardParseError
 from gardner.counting import CountingPolynomial, FStarVector
 from gardner.duality import (AffineSubspace, HDescription, birkhoff_hull, gale_pair_from_recipe,
-                             is_doubly_stochastic)
+                             is_doubly_stochastic, pairing)
 from gardner.matrix import (GMatrix, Labeling, SquareMatrix, compose, is_g_matrix_bruteforce,
                             is_g_matrix_fast, scale)
 from gardner.polytope import (Vertex, affine_hull_residual, barycentric, cell_intersection,
-                              locate, triangulation_cells)
+                              locate, project_pi, triangulation_cells)
 
 
 def raises(exc, message):
@@ -151,6 +151,12 @@ SCALAR_READERS = {
     "linalg.rref": lambda x: linalg.rref([[1, x], [0, 1]]),
     "CountingPolynomial": lambda x: CountingPolynomial(2, (0, x, 1)),
     "affine_hull_residual": lambda x: affine_hull_residual(SquareMatrix.identity(2), x),
+    "linalg.dot": lambda x: linalg.dot([x, 1], [1, 1]),
+    "pairing": lambda x: pairing(SquareMatrix(((x, 1), (1, 1))), SquareMatrix.identity(2)),
+    "CountingPolynomial.evaluate": lambda x: CountingPolynomial(2, (1, 2, 1)).evaluate(x),
+    "project_pi": lambda x: project_pi(SquareMatrix(((1, 2), (x, 1)))),
+    "SquareMatrix.scaled": lambda x: SquareMatrix.identity(2).scaled(x),
+    "SquareMatrix.__add__": lambda x: SquareMatrix(((x, 1), (1, 1))) + SquareMatrix.identity(2),
 }
 
 
