@@ -227,6 +227,8 @@ class CountingPolynomial:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if type(self.d) is not int:
+            raise ValueError(f"d must be an int, not {self.d!r}")
         if isinstance(self.coefficients, str):  # else each character is read as a coefficient
             raise ValueError("coefficients must be a sequence of numbers, not a string")
         coeffs = tuple(map(Fraction, linalg.exact(tuple(self.coefficients))))
@@ -269,7 +271,7 @@ class CountingPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CountingPolynomial":
-        return cls(int(data["d"]), data["coeffs"])
+        return cls(data["d"], data["coeffs"])
 
 
 def _times_rising(poly: list[int], start: int, count: int) -> list[int]:

@@ -53,7 +53,8 @@ class Permutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+        if (any(type(s) is not int for s in self.images)
+                or sorted(self.images) != list(range(1, len(self.images) + 1))):
             raise ValueError("images are not a bijection on 1..d")
 
     @property

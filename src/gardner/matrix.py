@@ -167,11 +167,11 @@ class FastCheck:
 class GMatrix:
     """A matrix certified to have constant rook-placement sums.
 
-    Construction validates the certificate, so a ``GMatrix`` instance is
-    always genuinely a G-matrix of the stated value. ``compose`` and ``scale``
-    are certified by construction and skip the check: an addition table of
-    nonnegative labels is a G-matrix of value sum(lambda) + sum(mu), and c > 0
-    times one of value N, read exactly (float boards too), is one of value c*N.
+    Construction validates the certificate, so a ``GMatrix`` is always genuinely a
+    G-matrix of the stated value, and ``value`` is the exact int or Fraction its check
+    certified. ``compose`` and ``scale`` are certified by construction and skip the
+    check: an addition table of nonnegative labels is a G-matrix of value sum(lambda) +
+    sum(mu), and c > 0 times one of value N, read exactly (float boards too), is one of c*N.
     """
 
     matrix: SquareMatrix
@@ -186,11 +186,12 @@ class GMatrix:
                 f"rook sums are not constant; violated quadruple {check.witness.quadruple}")
         if check.value != self.value:
             raise ValueError(f"declared value {self.value} != actual {check.value}")
+        object.__setattr__(self, "value", check.value)
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
         """Certify an arbitrary matrix; ValueError if it fails or reads an inf or NaN float."""
-        return cls(m, sum(itertools.chain(*_labels(m))))
+        return cls(m, permutation_sum(m, range(1, m.d + 1)))
 
     @classmethod
     def zero(cls, d: int) -> "GMatrix":
@@ -250,7 +251,7 @@ def permutation_sum(a: SquareMatrix, sigma: Sequence[int]) -> Scalar:
     """Sum of the entries covered by the rook placement sigma (1-based images)."""
     if len(sigma) != a.d:
         raise ValueError(f"permutation length {len(sigma)} != matrix side {a.d}")
-    if sorted(sigma) != list(range(1, a.d + 1)):
+    if any(type(s) is not int for s in sigma) or sorted(sigma) != list(range(1, a.d + 1)):
         raise ValueError("not a bijection on 1..d")
     return sum(linalg.exact([a.rows[i][sigma[i] - 1] for i in range(a.d)]))
 
@@ -280,7 +281,7 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
         sums = extended
     if not all(x >= 0 for row in rows for x in row):  # most boards fail the sweep first
         return None
-    return sum(itertools.chain(*_labels(a)))
+    return permutation_sum(a, range(1, d + 1))
 
 
 def _exchange_witness(a: SquareMatrix, i: int, j: int) -> Witness:
@@ -418,4 +419,4 @@ def scale(g: GMatrix, c: Scalar) -> GMatrix:
     c = Fraction(linalg.exact((c,))[0])
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    return GMatrix._certified(g.matrix.scaled(c), linalg.exact((g.value,))[0] * c)
+    return GMatrix._certified(g.matrix.scaled(c), g.value * c)

@@ -380,6 +380,15 @@ def test_counting_polynomial_rejects_a_string_of_coefficients():
         CountingPolynomial(2, "123")
 
 
+@pytest.mark.parametrize("d", [2.7, 2.0, True])
+def test_counting_polynomial_requires_an_int_d(d):
+    # int() would truncate 2.7 to 2; 2.0 and True are kept only as ints.
+    with pytest.raises(ValueError, match="d must be an int"):
+        CountingPolynomial.from_json_dict({"d": d, "coeffs": ["1", "2", "1"]})
+    with pytest.raises(ValueError, match="d must be an int"):
+        CountingPolynomial(d, (1, 2, 1))
+
+
 # ------------------------------------------------------------ interior counts
 
 def test_interior_counts():

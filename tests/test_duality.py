@@ -31,6 +31,12 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1))
     with pytest.raises(ValueError):
+        Permutation((1.0, 2.0))
+    with pytest.raises(ValueError):
+        Permutation((True, 2))
+    with pytest.raises(ValueError):
+        Permutation((1, "2"))
+    with pytest.raises(ValueError):
         Permutation((0, 1))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +14,9 @@ from gardner.matrix import (FactorialGuardError, FastCheck, GMatrix, Labeling,
                             SquareMatrix, Witness, compose, decompose_canonical,
                             is_g_matrix_bruteforce, is_g_matrix_fast,
                             permutation_sum, scale, trick_generate)
-from gardner.polytope import affine_hull_residual, locate
+from gardner.boards import BoardDocument, board_json_payload
+from gardner.polytope import (affine_hull_residual, barycentric, halfopen_cells,
+                              halfopen_contains, locate, triangulation_cells)
 
 
 def mat(rows) -> SquareMatrix:
@@ -45,6 +48,12 @@ def test_permutation_sum_validates():
         permutation_sum(m, (1, 2))
     with pytest.raises(ValueError):
         permutation_sum(m, (1, 1, 2))
+    with pytest.raises(ValueError, match="not a bijection"):
+        permutation_sum(SquareMatrix(((1, 2), (3, 4))), (1.0, 2.0))
+    with pytest.raises(ValueError, match="not a bijection"):
+        permutation_sum(SquareMatrix(((1, 2), (3, 4))), (True, 2))
+    with pytest.raises(ValueError, match="not a bijection"):
+        permutation_sum(SquareMatrix(((1, 2), (3, 4))), (1, "2"))
 
 
 # ------------------------------------------------------------- brute force
@@ -638,3 +647,19 @@ def test_scale_keeps_float_boards_g_matrices_of_their_value():
     s = scale(GMatrix(SquareMatrix(((1, 1), (1, 1))), 2.0), Fraction(1, 3))
     assert s.value == is_g_matrix_bruteforce(s.matrix) == Fraction(2, 3)
     assert type(s.value) is Fraction
+
+
+def test_gmatrix_keeps_the_value_its_check_certified():
+    # Whatever type the stated value has, the board holds the exact int its check found.
+    ones = SquareMatrix(((1, 1), (1, 1)))
+    reference = GMatrix(ones, 2)
+    for stated in (2, Fraction(2), 2.0):
+        g = GMatrix(ones, stated)
+        assert g.value == 2 and type(g.value) is int, stated
+        for cell in triangulation_cells(2):
+            assert barycentric(g, cell) == barycentric(reference, cell)
+        for cell in halfopen_cells(2):
+            assert halfopen_contains(g, cell) == halfopen_contains(reference, cell)
+        assert scale(g, Fraction(1, 3)).value == Fraction(2, 3)
+        text = json.dumps(board_json_payload(g, decompose_canonical(g)))
+        assert BoardDocument.from_json(text).value == 2
