@@ -1,8 +1,8 @@
 """Reading and writing boards.
 
-Text format: an optional header line holding the single integer d, then d
-lines of d whitespace-separated nonnegative decimal integers. A blank line
-ends the board; anything after it (e.g. an appended label table) is ignored.
+Text format: an optional header line holding the single integer d, then d lines of d
+whitespace-separated nonnegative decimal integers, each right-aligned to the widest on output.
+Leading blank lines are skipped; the next blank line ends the board, and what follows is ignored.
 
 JSON format: an object {"d": int, "entries": [[int, ...], ...]}, each row an
 array; entries may also be strings of ASCII decimal digits, and the metadata
@@ -11,6 +11,7 @@ and underscores are rejected. On output, integers are always decimal strings.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import stat
@@ -42,15 +43,10 @@ class BoardDocument:
 
     @classmethod
     def from_text(cls, text: str) -> "BoardDocument":
-        if text.lstrip().startswith("{"):
+        stripped = text.lstrip()
+        if stripped.startswith("{"):
             return cls.from_json(text)
-        lines = []
-        for line in text.splitlines():
-            if not line.strip():
-                if lines:
-                    break
-                continue
-            lines.append(line.split())
+        lines = list(itertools.takewhile(bool, map(str.split, stripped.splitlines())))
         if not lines:
             raise BoardParseError("empty board")
         try:

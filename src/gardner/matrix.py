@@ -126,9 +126,15 @@ class SquareMatrix:
         return SquareMatrix(tuple(tuple(x * c for x in linalg.exact(r)) for r in self.rows))
 
     def __str__(self) -> str:
-        cells = [list(map(str, r)) for r in self.rows]
-        w = max(max(map(len, r)) for r in cells)
-        return "\n".join(" ".join([s.rjust(w) for s in r]) for r in cells)
+        # min and max are entries, so w is at most the widest width. %ws pads but never cuts, so
+        # w is the widest exactly when the text has d*d*(w+1) - 1 characters; else measure all.
+        rows, d = self.rows, self.d
+        w = max(len(str(min(map(min, rows)))), len(str(max(map(max, rows)))))
+        fmt = " ".join([f"%{w}s"] * d)
+        if len(text := "\n".join([fmt % r for r in rows])) == d * d * (w + 1) - 1:
+            return text
+        fmt = " ".join([f"%{max(len(str(x)) for r in rows for x in r)}s"] * d)
+        return "\n".join([fmt % r for r in rows])
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_COL_LABELS, EXAMPLE_ROW_LABELS, EXAMPLE_ROWS
 from gardner.boards import (BoardDocument, BoardParseError,
                             board_json_payload, format_addition_table,
                             format_board_text)
 from gardner.matrix import (GMatrix, Labeling, SquareMatrix, compose,
-                            decompose_canonical)
+                            decompose_canonical, trick_generate)
 
 
 def test_parse_plain_text():
@@ -197,3 +201,88 @@ def test_json_labels_parse_like_rows():
     doc = BoardDocument.from_text('{"d": 2, "entries": [[1, 2], [3, 4]], '
                                   '"lambda": ["1", 2], "mu": [0, "2"]}')
     assert doc.col_labels == (1, 2) and doc.row_labels == (0, 2)
+
+
+def _rjust_text(m):
+    # Reference formatter, one string per cell right-justified to the widest;
+    # str() of a board must match it byte for byte.
+    cells = [list(map(str, r)) for r in m.rows]
+    w = max(max(map(len, r)) for r in cells)
+    return "\n".join(" ".join([s.rjust(w) for s in r]) for r in cells)
+
+
+def test_board_text_matches_rjust_on_generated_boards():
+    rng = random.Random(11)
+    for d in range(1, 41):
+        for value in (0, 1, d, d * d, 10 ** 3, 10 ** 6, rng.randrange(10 ** 12), 10 ** 12):
+            m = trick_generate(d, value, mode=rng.choice(["uniform", "quick"]),
+                               seed=rng.randrange(2 ** 32)).matrix
+            assert str(m) == _rjust_text(m)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_board_text_matches_rjust_on_int_boards(rows):
+    m = SquareMatrix(rows)
+    assert str(m) == _rjust_text(m)
+
+
+@pytest.mark.parametrize("rows", [
+    ((Fraction(22, 7), 3), (4, 5)),
+    ((2.5, 0), (10, 1.25)),
+    ((-1, 0), (7, Fraction(-1, 3))),
+    ((0, 0.75), (Fraction(1, 12), 9)),
+    ((1, 2, 3), (4, 5.5, 6), (7, 8, Fraction(19, 10))),
+    ((-5, 1.0), (Fraction(1, 1000), 3)),
+], ids=["fraction", "float", "negative-fraction", "mixed", "mixed-3", "small-fraction"])
+def test_board_text_matches_rjust_when_the_widest_entry_is_not_an_extreme(rows):
+    m = SquareMatrix(rows)
+    w = max(len(str(min(map(min, m.rows)))), len(str(max(map(max, m.rows)))))
+    assert max(len(str(x)) for r in m.rows for x in r) > w  # the measured fallback runs
+    assert str(m) == _rjust_text(m)
+
+
+@pytest.mark.parametrize("x", [0, 7, -3, 10 ** 40, Fraction(-22, 7), 0.25])
+def test_board_text_of_a_one_by_one_board(x):
+    m = SquareMatrix(((x,),))
+    assert str(m) == _rjust_text(m) == str(x)
+    assert format_board_text(m, header=True) == f"1\n{x}"
+
+
+@pytest.mark.parametrize("value", [5, 10 ** 6])
+def test_board_text_peak_memory_stays_near_the_text(value):
+    # Row strings and the joined text, not one string per cell: at d = 1000 a per-cell
+    # formatter peaks at 63 MB (N = 5) and 71 MB (N = 10**6) for 2.0 and 5.0 MB of text.
+    m = trick_generate(1000, value, seed=1).matrix
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        text = str(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text) + 2 ** 20
+
+
+@pytest.mark.parametrize("text", [
+    "  \n\t\n \n1 2\n3 4\n", "\r\n \r\n1 2\r\n3 4\r\n", "   1 2\n3 4",
+    "2\r\n1 2\r\n3 4\r\n", "\n \n2\n1 2\n3 4\n", "1 2\n3 4\n \t\n  + | 0 1\n0 | 1 2\n",
+    "1 2\r\n3 4\r\n\r\n1 2 3\r\n", "2\n1 2\n3 4\n\n2\n9 9\n9 9\n",
+], ids=["whitespace-lines", "crlf-blank-lines", "indented", "crlf-header",
+        "blank-then-header", "label-table", "crlf-trailer", "second-board"])
+def test_text_parse_skips_leading_blank_lines_and_stops_at_the_next(text):
+    assert BoardDocument.from_text(text).entries == ((1, 2), (3, 4))
+
+
+def test_text_parse_ignores_an_appended_addition_table(example_board):
+    table = format_addition_table(example_board, decompose_canonical(example_board))
+    text = f"{format_board_text(example_board.matrix)}\n\n{table}"
+    assert BoardDocument.from_text(text).to_matrix() == example_board.matrix
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n", "\r\n\r\n", " \x0c\x0b  "])
+def test_a_whitespace_only_board_is_empty(text):
+    with pytest.raises(BoardParseError) as info:
+        BoardDocument.from_text(text)
+    assert str(info.value) == "empty board"

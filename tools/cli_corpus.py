@@ -52,6 +52,8 @@ BOARDS = {
     "object-rows.json": '{"entries": {"12": 1, "34": 2}}',
     "mixed-rows.json": '{"entries": [[1, 2], "34"]}',
     "string-lambda.json": '{"d": 2, "entries": [[1, 2], [3, 4]], "lambda": "12"}',
+    "padded.txt": "\n   \n\t\n 1 2\n3 4\n \n    + | 1 2\n------+----\n    0 | 1 2\n    2 | 3 4\n",
+    "crlf.txt": "2\r\n1 2\r\n3 4\r\n\r\n",
 }
 
 COMMANDS: list[tuple[dict, list[str]]] = [({}, []), ({}, ["--help"]), ({}, ["frobnicate"])]
@@ -65,7 +67,8 @@ COMMANDS += [({}, args) for args in (
     ["trick", "2", str(10 ** 12), "--seed", "9"],
     ["trick", "2", str(10 ** 20), "--mode", "quick", "--seed", "9", "--labels"],
     ["trick", "0", "3", "--seed", "1"], ["trick", "3", "-1", "--seed", "1"], ["trick", "3", "x"],
-    ["trick", "3", "4", "--mode", "slow"], ["trick", "30", "1000", "--seed", "1", "--json"])]
+    ["trick", "3", "4", "--mode", "slow"], ["trick", "30", "1000", "--seed", "1", "--json"],
+    ["trick", "200", str(10 ** 6), "--seed", "1"])]
 for cmd in ("verify", "decompose", "locate"):
     for board in list(BOARDS) + ["missing.txt", "."]:
         COMMANDS.append(({}, [cmd, board]))
