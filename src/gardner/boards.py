@@ -144,13 +144,9 @@ def board_json_payload(g: GMatrix, lab: Labeling) -> dict:
 def format_addition_table(g: GMatrix, lab: Labeling) -> str:
     """Label table: column labels across the top, row labels down the side,
     the board as the body of the table."""
-    table = [["+", *map(str, lab.col_labels)]]
-    table += [[str(mu), *map(str, row)] for mu, row in zip(lab.row_labels, g.matrix.rows)]
+    table = [("+", *map(str, lab.col_labels))]
+    table += [(str(mu), *map(str, row)) for mu, row in zip(lab.row_labels, g.matrix.rows)]
     left_w, *col_w = (max(map(len, column)) for column in zip(*table))
-
-    def fmt_row(cells: list[str]) -> str:
-        return cells[0].rjust(left_w) + " | " + \
-            " ".join(c.rjust(w) for c, w in zip(cells[1:], col_w))
-
+    fmt = f"%{left_w}s | " + " ".join([f"%{w}s" for w in col_w])  # %ws right-aligns to w
     rule = "-" * left_w + "-+-" + "-".join("-" * w for w in col_w)
-    return "\n".join([fmt_row(table[0]), rule, *map(fmt_row, table[1:])])
+    return "\n".join([fmt % table[0], rule, *[fmt % row for row in table[1:]]])

@@ -16,7 +16,7 @@ and column in O(d), and generate boards.
 Scalars are ints or ``fractions.Fraction``: the one scalar rule, ``linalg.exact``, reads
 a float as the Fraction it equals and refuses inf and NaN; ``_labels`` reads labels once.
 Every type is an immutable value, safe to share across threads: the integer
-clear a board caches is deterministic, so a race only computes it twice.
+clear and the O(d^2) check a board keeps are deterministic, so a race only computes one twice.
 """
 from __future__ import annotations
 
@@ -51,6 +51,7 @@ class SquareMatrix:
     """An immutable d-by-d matrix of exact scalars, 1-based accessors."""
 
     rows: tuple[tuple[Scalar, ...], ...]
+    _checked = None  # is_g_matrix_fast's FastCheck once it ran; no annotation, so not a field
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(r) for r in self.rows)
@@ -333,17 +334,20 @@ def is_g_matrix_fast(a: SquareMatrix) -> FastCheck:
     result carries the first negative entry in row-major order if there is
     one, else a Witness with two placements whose sums differ. A float it
     reads that is infinite or NaN (row 1, column 1, the witness) raises ValueError.
+    The check runs once per board: the board keeps its result for every later call.
     """
+    if a._checked is not None:
+        return a._checked
     lam, mu = _labels(a)
     violation = next(_exchange_violations(a, lam, mu), None)
     if violation is None and min(lam) >= 0:
-        return FastCheck(sum(lam) + sum(mu))
-    # With no violation the minimum is negative, so this scan returns.
-    for i, row in enumerate(a.rows):
-        for j, x in enumerate(row):
-            if x < 0:
-                return FastCheck(None, negative_entry=(i + 1, j + 1))
-    return FastCheck(None, witness=_exchange_witness(a, *violation))
+        check = FastCheck(sum(lam) + sum(mu))
+    else:  # with no violation the minimum is negative, so the scan finds an entry
+        negative = next(((i, j) for i, row in enumerate(a.rows, 1)
+                         for j, x in enumerate(row, 1) if x < 0), None)
+        check = FastCheck(None, None if negative else _exchange_witness(a, *violation), negative)
+    object.__setattr__(a, "_checked", check)
+    return check
 
 
 DecompositionOrder = Literal["columns-first", "rows-first"]

@@ -14,6 +14,7 @@ from gardner.counting import (BudgetExceededError, CountingPolynomial, binom,
                               interior_count_bruteforce, interpolate,
                               iter_compositions, iter_g_matrices_flat,
                               open_simplex_count, roots_check, simplex_count)
+from gardner import linalg
 from gardner.matrix import SquareMatrix, is_g_matrix_bruteforce
 
 
@@ -525,6 +526,37 @@ def test_interpolate_matches_formula_3_at_large_d(d):
     poly = interpolate(d)
     assert poly.degree == 2 * d - 2
     assert all(poly.evaluate(n) == g_formula_3(d, n) for n in range(4 * d))
+
+
+def _taylor_shift(coeffs, s):
+    """Coefficients of p(x + s) from those of p(x), constant term first, over the integers."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += s * c[k + 1]
+    return c
+
+
+def _symmetric_about_minus_half_d(coeffs, d):
+    # p(-x) == p(x - d), coefficient by coefficient
+    return [-c if k % 2 else c for k, c in enumerate(coeffs)] == _taylor_shift(coeffs, -d)
+
+
+@pytest.mark.parametrize("d", [*range(1, 13), 50, 100, 200])
+def test_counting_polynomial_is_symmetric_about_minus_half_d(d):
+    # Index-d Gorenstein at every N: the N-th dilate has P(-N) interior lattice points
+    # (Ehrhart-Macdonald reciprocity, the degree 2d - 2 being even), the (N - d)-th has
+    # P(N - d) lattice points, so the two counts agree exactly when P(-x) = P(x - d).
+    poly = interpolate(d)
+    ints, den = linalg.integer_vector(poly.coefficients)
+    assert _symmetric_about_minus_half_d(ints, d)
+    shifted = _taylor_shift(ints, -d)
+    assert all(sum(c * x ** k for k, c in enumerate(shifted)) == den * poly.evaluate(x - d)
+               for x in range(-2, 3))
+    if d >= 2:  # a bumped linear coefficient adds 2x - d to P(x - d) - P(-x)
+        assert not _symmetric_about_minus_half_d([ints[0], ints[1] + 1, *ints[2:]], d)
+    # a bumped constant term adds 1 to both sides, so the identity cannot see it
+    assert _symmetric_about_minus_half_d([ints[0] + 1, *ints[1:]], d)
 
 
 @pytest.mark.parametrize("d, value, budget", [(0, 3, None), (3, -1, None), (3, 100, -5)])

@@ -1,14 +1,20 @@
+import dataclasses
+import gc
 import itertools
 import json
+import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_COL_LABELS, EXAMPLE_ROW_LABELS, EXAMPLE_VALUE
+import gardner.matrix
+from conftest import EXAMPLE_COL_LABELS, EXAMPLE_ROW_LABELS, EXAMPLE_ROWS, EXAMPLE_VALUE
 from gardner.counting import g_formula_3, halfopen_simplex_count, iter_g_matrices_flat
 from gardner.matrix import (FactorialGuardError, FastCheck, GMatrix, Labeling,
                             SquareMatrix, Witness, compose, decompose_canonical,
@@ -566,6 +572,76 @@ def test_trick_big_values(d, value, mode):
     assert g.d == d and is_g_matrix_fast(g.matrix).value == value
 
 
+class _Branch(Exception):
+    """Raised by a stand-in RNG at the first draw it has no result for; args[0] is its bound."""
+
+
+class _Replay:
+    """Stands in for trick_generate's random.Random: the k-th randrange call returns
+    prefix[k], or ``last`` past the prefix (a _Branch when ``last`` is None)."""
+
+    def __init__(self, prefix, last=None):
+        self.prefix, self.last, self.bounds = prefix, last, []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        if len(self.bounds) <= len(self.prefix):
+            return self.prefix[len(self.bounds) - 1]
+        if self.last is None:
+            raise _Branch(n)
+        return self.last
+
+
+def _replay_sampler(monkeypatch):
+    # trick_generate builds its RNG as random.Random(seed); each call now gets rngs[-1]
+    rngs = []
+    monkeypatch.setattr(gardner.matrix, "random", SimpleNamespace(Random=lambda seed: rngs[-1]))
+    return rngs
+
+
+@pytest.mark.parametrize("d,value", [(2, 3), (2, 5), (3, 2)])
+def test_trick_law_is_exactly_uniform_on_every_rng_path(monkeypatch, d, value):
+    # Walk the tree of randrange results: a path ending in a board has probability
+    # prod 1/bound over its draws, and a board's probability sums its paths.
+    rngs = _replay_sampler(monkeypatch)
+    law, stack = {}, [((), Fraction(1))]
+    while stack:
+        prefix, p = stack.pop()
+        rngs.append(_Replay(prefix))
+        try:
+            board = trick_generate(d, value).matrix
+        except _Branch as branch:
+            stack += [(prefix + (x,), p / branch.args[0]) for x in range(branch.args[0])]
+        else:
+            law[board] = law.get(board, 0) + p
+    boards = {SquareMatrix(tuple(flat[i:i + d] for i in range(0, d * d, d)))
+              for flat in iter_g_matrices_flat(d, value)}
+    assert len(boards) == g_formula_3(d, value) and set(law) == boards
+    assert set(law.values()) == {Fraction(1, len(boards))}
+
+
+def test_trick_cells_have_their_sizes_by_bisection(monkeypatch):
+    # Force the first draw x, let every later draw be 0, and read the cell back through
+    # locate: cell k must take exactly C(N + 2d - k - 1, 2d - 2) of the first draws.
+    d, value = 8, 10 ** 6
+    rngs = _replay_sampler(monkeypatch)
+
+    def cell_of(x):
+        rngs.append(_Replay((x,), last=0))
+        return locate(trick_generate(d, value))
+
+    assert cell_of(0) == 1 and rngs[-1].bounds[0] == g_formula_3(d, value)
+    total, starts = rngs[-1].bounds[0], [0]
+    for k in range(2, d + 1):  # the first draw of cell k; cell_of is nondecreasing in x
+        lo, hi = starts[-1], total
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if cell_of(mid) >= k else (mid + 1, hi)
+        starts.append(lo)
+    sizes = [b - a for a, b in zip(starts, starts[1:] + [total])]
+    assert sizes == [math.comb(value + 2 * d - k - 1, 2 * d - 2) for k in range(1, d + 1)]
+
+
 def test_trick_validates_arguments():
     with pytest.raises(ValueError):
         trick_generate(0, 3)
@@ -663,3 +739,84 @@ def test_gmatrix_keeps_the_value_its_check_certified():
         assert scale(g, Fraction(1, 3)).value == Fraction(2, 3)
         text = json.dumps(board_json_payload(g, decompose_canonical(g)))
         assert BoardDocument.from_json(text).value == 2
+
+
+# ------------------------------------------------------- one check per board
+
+def _count_exchange_scans(monkeypatch):
+    calls, scan = [], gardner.matrix._exchange_violations
+    monkeypatch.setattr(gardner.matrix, "_exchange_violations",
+                        lambda a, lam, mu: calls.append(a) or scan(a, lam, mu))
+    return calls
+
+
+def test_a_board_is_checked_once(monkeypatch):
+    calls = _count_exchange_scans(monkeypatch)
+    m = SquareMatrix(EXAMPLE_ROWS)
+    check = is_g_matrix_fast(m)
+    assert check.value == EXAMPLE_VALUE and is_g_matrix_fast(m) is check
+    assert GMatrix(m, EXAMPLE_VALUE).value == GMatrix.from_matrix(m).value == EXAMPLE_VALUE
+    assert len(calls) == 1 and calls[0] is m
+    is_g_matrix_fast(SquareMatrix(EXAMPLE_ROWS))  # an equal board is a new board
+    assert len(calls) == 2
+
+
+def test_a_failing_board_keeps_its_witness_or_negative_entry(monkeypatch):
+    calls = _count_exchange_scans(monkeypatch)
+    swapped, negative = SquareMatrix.identity(3), mat([[1, 2], [-1, 0]])
+    for board in (swapped, negative):
+        check = is_g_matrix_fast(board)
+        assert not check and is_g_matrix_fast(board) is check
+        with pytest.raises(ValueError):
+            GMatrix.from_matrix(board)
+        assert is_g_matrix_fast(board) is check
+    assert is_g_matrix_fast(swapped).witness.quadruple == (1, 1, 2, 2)
+    assert is_g_matrix_fast(negative).negative_entry == (2, 1)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_check_that_raises_keeps_nothing(bad):
+    # in row 1 the label read raises; off row 1 and column 1 the witness's sums do
+    boards = [((bad, 1.0), (1.0, 1.0))]
+    if bad != -math.inf:  # off row 1 and column 1, -inf is reported as a negative entry
+        boards.append(((1.0, 1.0), (1.0, bad)))
+    for rows in boards:
+        board = SquareMatrix(rows)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not finite"):
+                is_g_matrix_fast(board)
+            assert board._checked is None and "_checked" not in vars(board)
+
+
+def test_the_kept_check_is_invisible_to_the_value():
+    used, fresh = SquareMatrix(EXAMPLE_ROWS), SquareMatrix(EXAMPLE_ROWS)
+    check = is_g_matrix_fast(used)
+    assert used._checked is check and fresh._checked is None
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(used)] == ["rows"]
+    copy = dataclasses.replace(used)
+    assert copy == used and copy._checked is None and "_checked" not in vars(copy)
+
+
+def test_a_checked_board_dies_with_its_last_reference():
+    # The kept FastCheck holds no reference to its board.
+    passing, failing = SquareMatrix(EXAMPLE_ROWS), SquareMatrix.identity(3)
+    assert is_g_matrix_fast(passing) and not is_g_matrix_fast(failing)
+    refs = [weakref.ref(passing), weakref.ref(failing)]
+    gc.disable()
+    try:
+        del passing, failing
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_compose_and_scale_boards_start_unchecked():
+    # compose and scale certify by construction: their boards carry no check until one runs.
+    checked = GMatrix.from_matrix(SquareMatrix(EXAMPLE_ROWS))
+    assert checked.matrix._checked is not None
+    g = compose(Labeling(EXAMPLE_COL_LABELS, EXAMPLE_ROW_LABELS))
+    boards = [g.matrix, scale(g, Fraction(1, 57)).matrix, scale(checked, 3).matrix,
+              trick_generate(4, 100, seed=3).matrix]
+    assert all(board._checked is None for board in boards)
