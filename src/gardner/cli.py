@@ -1,12 +1,12 @@
-"""Command-line front end: subcommand x is handled by cmd_x, mapped in build_parser.
+"""Command-line front end: subcommand x is handled by cmd_x, found by name, with no registry.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse
 error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment variable
 overrides the default ceiling on the grid of (N+1)^(2d-1) first rows and columns,
 which bounds the brute-force sweep's work: it walks only the first columns of trace N.
-A budget that is not a nonnegative integer exits 2. main reads a board file once,
-under the int digit limit, then lifts the limit, so values of any size print exactly.
-boards, matrix and linalg (for SquareMatrix) load at import; the rest by gardner's lazy names.
+A budget that is not a nonnegative integer exits 2. main reads and certifies a board file
+once, under the int digit limit, then lifts the limit, so values of any size print exactly.
+boards, matrix and linalg load at import; the rest by gardner's lazy names.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import sys
 import gardner
 from .boards import (BoardDocument, board_json_payload, format_addition_table,
                      format_board_text)
-from .matrix import (BudgetExceededError, FactorialGuardError, GMatrix, SquareMatrix,
-                     decompose_canonical, is_g_matrix_fast, trick_generate)
+from .matrix import (BudgetExceededError, FactorialGuardError, GMatrix, decompose_canonical,
+                     is_g_matrix_fast, trick_generate)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,20 +59,11 @@ def cmd_trick(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _as_g_matrix(m: SquareMatrix) -> GMatrix | None:
-    try:
-        return GMatrix.from_matrix(m)
-    except ValueError:
-        print("not a constant-rook-sum board", file=sys.stderr)
-        return None
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    check = is_g_matrix_fast(args.board)
-    if check:
-        _emit({"value": str(check.value)}, args.json, f"value {check.value}")
+    if args.check:
+        _emit({"value": str(args.check.value)}, args.json, f"value {args.check.value}")
         return EXIT_OK
-    w = check.witness
+    w = args.check.witness
     _emit({"witness": {"quadruple": list(w.quadruple),
                        "sigma": list(w.sigma), "sigma_prime": list(w.sigma_prime),
                        "sums": [str(s) for s in w.sums]}}, args.json,
@@ -114,18 +105,12 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    g = _as_g_matrix(args.board)
-    if g is None:
-        return EXIT_CHECK_FAILED
-    _print_board(g, args.json, board=False, table=True)
+    _print_board(args.board, args.json, board=False, table=True)
     return EXIT_OK
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    g = _as_g_matrix(args.board)
-    if g is None:
-        return EXIT_CHECK_FAILED
-    k = gardner.locate(g)
+    k = gardner.locate(args.board)
     _emit({"cell": k}, args.json, str(k))
     return EXIT_OK
 
@@ -187,12 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
 
-    handlers = {"trick": cmd_trick, "verify": cmd_verify, "count": cmd_count,
-                "poly": cmd_poly, "roots": cmd_roots, "decompose": cmd_decompose,
-                "locate": cmd_locate, "duality": cmd_duality}
     for name, p in sub.choices.items():  # last, so every usage line ends in [--json]
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=handlers[name])
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -206,7 +188,12 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     try:
         if getattr(args, "file", None) is not None:
-            args.board = BoardDocument.load(args.file).to_matrix()
+            board = BoardDocument.load(args.file).to_matrix()
+            args.check = is_g_matrix_fast(board)
+            if not args.check and args.command != "verify":  # verify prints its own witness
+                print("not a constant-rook-sum board", file=sys.stderr)
+                return EXIT_CHECK_FAILED
+            args.board = GMatrix(board, args.check.value) if args.check else board
         sys.set_int_max_str_digits(0)
         return args.func(args)
     except (BudgetExceededError, OSError, ValueError) as exc:

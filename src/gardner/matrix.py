@@ -198,7 +198,7 @@ class GMatrix:
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
         """Certify an arbitrary matrix; ValueError if it fails or reads an inf or NaN float."""
-        return cls(m, permutation_sum(m, range(1, m.d + 1)))
+        return cls(m, sum(linalg.exact([r[i] for i, r in enumerate(m.rows)])))
 
     @classmethod
     def zero(cls, d: int) -> "GMatrix":

@@ -381,6 +381,26 @@ def test_decompose_certifies_the_board_once(capsys, monkeypatch, example_file):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose", "locate"])
+def test_board_file_commands_scan_the_board_once(capsys, monkeypatch, tmp_path, example_file,
+                                                 command):
+    import gardner.matrix
+    scans = []
+    scan = gardner.matrix._exchange_violations
+
+    def counted(a, lam, mu):
+        scans.append(a)
+        return scan(a, lam, mu)
+
+    monkeypatch.setattr(gardner.matrix, "_exchange_violations", counted)
+    identity = tmp_path / "identity.txt"
+    identity.write_text("1 0\n0 1\n")
+    for path, code in [(example_file, 0), (str(identity), 1)]:
+        scans.clear()
+        assert run(capsys, command, path)[0] == code
+        assert len(scans) == 1
+
+
 def test_duality_command(capsys):
     code, out, _ = run(capsys, "duality", "3", "--samples", "5")
     assert code == 0 and "passed" in out
