@@ -92,13 +92,13 @@ class BoardDocument:
 
 
 def _parse_row(tokens) -> tuple[int, ...]:
-    # Lists only, else "12" reads as (1, 2). One ASCII-digit check and one map(int) per
-    # row of nonempty strings; failing that, _parse_entry per token words the error.
+    # Lists only, else "12" reads as (1, 2). One ASCII-digit check on bytes and one map(int) per
+    # row of strings (int("") raises); failing that, _parse_entry per token words the error.
     if not isinstance(tokens, list):
         raise ValueError(f"expected a list of entries, got {type(tokens).__name__}")
     try:
         digits = "".join(tokens)
-        if digits.isascii() and digits.isdigit() and all(tokens):
+        if digits.isascii() and digits.encode().isdigit():
             return tuple(map(int, tokens))
     except (TypeError, ValueError):
         pass
@@ -143,10 +143,20 @@ def board_json_payload(g: GMatrix, lab: Labeling) -> dict:
 
 def format_addition_table(g: GMatrix, lab: Labeling) -> str:
     """Label table: column labels across the top, row labels down the side,
-    the board as the body of the table."""
-    table = [("+", *map(str, lab.col_labels))]
-    table += [(str(mu), *map(str, row)) for mu, row in zip(lab.row_labels, g.matrix.rows)]
-    left_w, *col_w = (max(map(len, column)) for column in zip(*table))
+    the board as the body of the table, each column right-aligned to its own widest cell."""
+    lam, mu, rows, d = lab.col_labels, lab.row_labels, g.matrix.rows, g.d
+    # On ints mu_i + lambda_j >= 0 the row of max mu holds each column's widest entry. Each width
+    # is a real cell's; one too narrow makes the d + 2 lines longer: only then measure every cell.
+    top = rows[mu.index(max(mu))]
+    widths = [len(str(max(mu))), *(max(len(str(a)), len(str(b))) for a, b in zip(lam, top))]
+    if len(text := _table_text(lam, mu, rows, widths)) == (d + 2) * (sum(widths) + d + 3) - 1:
+        return text
+    cells = zip(("+", *lam), *[(m, *r) for m, r in zip(mu, rows)])
+    return _table_text(lam, mu, rows, [max(len(str(x)) for x in column) for column in cells])
+
+
+def _table_text(lam, mu, rows, widths: list[int]) -> str:
+    left_w, *col_w = widths
     fmt = f"%{left_w}s | " + " ".join([f"%{w}s" for w in col_w])  # %ws right-aligns to w
     rule = "-" * left_w + "-+-" + "-".join("-" * w for w in col_w)
-    return "\n".join([fmt % table[0], rule, *[fmt % row for row in table[1:]]])
+    return "\n".join([fmt % ("+", *lam), rule, *[fmt % (m, *r) for m, r in zip(mu, rows)]])

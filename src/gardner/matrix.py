@@ -127,10 +127,11 @@ class SquareMatrix:
         return SquareMatrix(tuple(tuple(x * c for x in linalg.exact(r)) for r in self.rows))
 
     def __str__(self) -> str:
-        # min and max are entries, so w is at most the widest width. %ws pads but never cuts, so
-        # w is the widest exactly when the text has d*d*(w+1) - 1 characters; else measure all.
+        # An addition table's min and max sit at column 1's and row 1's argmin and argmax. As %ws
+        # never cuts, their width w is the widest iff the text is d*d*(w+1) - 1 long; else measure.
         rows, d = self.rows, self.d
-        w = max(len(str(min(map(min, rows)))), len(str(max(map(max, rows)))))
+        col, top = [r[0] for r in rows], rows[0]
+        w = max(len(str(rows[col.index(f(col))][top.index(f(top))])) for f in (min, max))
         fmt = " ".join([f"%{w}s"] * d)
         if len(text := "\n".join([fmt % r for r in rows])) == d * d * (w + 1) - 1:
             return text

@@ -286,3 +286,136 @@ def test_a_whitespace_only_board_is_empty(text):
     with pytest.raises(BoardParseError) as info:
         BoardDocument.from_text(text)
     assert str(info.value) == "empty board"
+
+
+def _guessed_entries(m):
+    # The two entries SquareMatrix.__str__ reads its width off: at column 1's and row 1's
+    # argmin, and at their argmax.
+    col, top = m.col(1), m.row(1)
+    return [m.rows[col.index(f(col))][top.index(f(top))] for f in (min, max)]
+
+
+def _widest(m):
+    return max(len(str(x)) for r in m.rows for x in r)
+
+
+def test_board_text_guess_is_the_widest_on_generated_boards():
+    # The same grid as test_board_text_matches_rjust_on_generated_boards: an int addition
+    # table of nonnegative labels never takes the measured fallback.
+    rng = random.Random(11)
+    for d in range(1, 41):
+        for value in (0, 1, d, d * d, 10 ** 3, 10 ** 6, rng.randrange(10 ** 12), 10 ** 12):
+            m = trick_generate(d, value, mode=rng.choice(["uniform", "quick"]),
+                               seed=rng.randrange(2 ** 32)).matrix
+            assert max(len(str(x)) for x in _guessed_entries(m)) == _widest(m)
+
+
+def _addition_rows(mu, lam):
+    return tuple(tuple(m + a for a in lam) for m in mu)
+
+
+@pytest.mark.parametrize("rows, fallback", [
+    (((1, 1000), (3, 4)), True),
+    (((5, 0, 7), (1, 2, 3), (4, -60, 8)), True),
+    (_addition_rows((-100, 0, 5), (0, 3, -7)), False),
+    (_addition_rows((0, Fraction(1, 3)), (Fraction(1, 7), 2)), True),
+    (_addition_rows((0.5, 10), (0.25, 1)), True),
+    (_addition_rows((0, 0.75), (0, 0.25)), True),
+], ids=["int-not-a-table", "int-negative-inside", "int-table-negative-min",
+        "fraction-table", "float-table", "float-table-int-min"])
+def test_board_text_matches_rjust_when_the_guess_is_too_narrow(rows, fallback):
+    m = SquareMatrix(rows)
+    assert (max(len(str(x)) for x in _guessed_entries(m)) < _widest(m)) == fallback
+    assert str(m) == _rjust_text(m)
+
+
+def _rjust_table(g, lab):
+    # Reference label table, one string per cell right-justified to its column's widest cell.
+    cells = [("+", *map(str, lab.col_labels))]
+    cells += [(str(mu), *map(str, row)) for mu, row in zip(lab.row_labels, g.matrix.rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = [" ".join([c[0].rjust(widths[0]) + " |", *map(str.rjust, c[1:], widths[1:])])
+             for c in cells]
+    rule = "-" * widths[0] + "-+-" + "-".join("-" * w for w in widths[1:])
+    return "\n".join([lines[0], rule, *lines[1:]]), widths
+
+
+def _guessed_table_widths(g, lab):
+    # The widths format_addition_table tries first: the labels and the row of max mu.
+    mu = lab.row_labels
+    top = g.matrix.rows[mu.index(max(mu))]
+    return [len(str(max(mu))),
+            *(max(len(str(a)), len(str(b))) for a, b in zip(lab.col_labels, top))]
+
+
+def test_addition_table_matches_rjust_on_int_boards():
+    rng = random.Random(12)
+    for d in range(1, 41):
+        for value in (0, 1, d, d * d, 10 ** 3, 10 ** 6, rng.randrange(10 ** 12), 10 ** 12):
+            g = trick_generate(d, value, seed=rng.randrange(2 ** 32))
+            labels = [rng.randrange(10 ** rng.randrange(1, 8)) for _ in range(2 * d)]
+            other = Labeling(labels[:d], labels[d:])
+            for g, lab in ((g, decompose_canonical(g)), (compose(other), other)):
+                want, widths = _rjust_table(g, lab)
+                assert _guessed_table_widths(g, lab) == widths  # no fallback on an int table
+                assert format_addition_table(g, lab) == want
+
+
+@pytest.mark.parametrize("lab, board", [
+    (Labeling((0, Fraction(1, 7)), (Fraction(1, 3), 5)), None),
+    (Labeling((Fraction(1, 2), 9, Fraction(1, 9)), (Fraction(7, 11), 8, 0)), None),
+    (Labeling((0.1, 2), (0.5, 3)), None),
+    (Labeling((0, 1), (0, 1)), Labeling((0, 9000), (500, 0))),
+], ids=["fraction", "fraction-3", "float-labels", "labels-not-of-the-board"])
+def test_addition_table_matches_rjust_when_the_guess_is_too_narrow(lab, board):
+    g = compose(board or lab)
+    want, widths = _rjust_table(g, lab)
+    assert _guessed_table_widths(g, lab) != widths  # the measured fallback runs
+    assert format_addition_table(g, lab) == want
+
+
+@pytest.mark.parametrize("token", ["１", "²", "١"])
+def test_a_non_ascii_digit_among_ascii_digits_is_named(token):
+    # str.isdigit takes these three; the row's one check must not, in text or JSON.
+    for bad in (token, f"2{token}0"):
+        message = f"entry {bad!r} is not a nonnegative decimal integer"
+        texts = [f"10 {bad}\n3 4\n", f"2\n10 7\n3 {bad}\n"]
+        texts += [json.dumps({"d": 2, "entries": e}) for e in (
+            [["10", bad], ["3", "4"]], [[10, 7], ["3", bad]], [[bad, "7"], [3, 4]])]
+        for text in texts:
+            with pytest.raises(BoardParseError) as info:
+                BoardDocument.from_text(text)
+            assert str(info.value) == message
+
+
+def test_an_empty_json_string_among_digits_is_named():
+    for entries in ([["10", ""], ["3", "4"]], [["", "10"], ["3", "4"]], [[1, 2], ["3", ""]]):
+        with pytest.raises(BoardParseError) as info:
+            BoardDocument.from_text(json.dumps({"d": 2, "entries": entries}))
+        assert str(info.value) == "entry '' is not a nonnegative decimal integer"
+
+
+class _Counted(int):
+    # An int that counts how often it is written out.
+    calls = 0
+
+    def __str__(self):
+        _Counted.calls += 1
+        return int.__str__(self)
+
+
+@pytest.mark.parametrize("d", [8, 40, 128])
+def test_board_and_label_text_write_each_cell_once(d):
+    # On an int addition table the O(d) guess is right, so no cell is written a second time:
+    # board text writes d*d cells after its 2 guessed ones, and the label table writes its
+    # (d+1)^2 - 1 cells after max mu, the d labels and the d cells of the row of max mu.
+    g = trick_generate(d, 10 ** 6, seed=d)
+    lab = decompose_canonical(g)
+    counted = Labeling(list(map(_Counted, lab.col_labels)), list(map(_Counted, lab.row_labels)))
+    m = SquareMatrix([[_Counted(x) for x in r] for r in g.matrix.rows])
+    board = GMatrix(m, g.value)
+    _Counted.calls = 0
+    assert str(m) == str(g.matrix) and _Counted.calls == d * d + 2
+    _Counted.calls = 0
+    assert format_addition_table(board, counted) == format_addition_table(g, lab)
+    assert _Counted.calls == (d + 1) ** 2 - 1 + 2 * d + 1
