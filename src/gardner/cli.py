@@ -48,7 +48,7 @@ def _print_board(g: GMatrix, as_json: bool, board: bool, table: bool) -> None:
     else:
         parts = [format_board_text(g.matrix)] if board else []
         parts += [format_addition_table(g, lab)] if table else []
-        print("\n\n".join(parts))
+        print(*parts, sep="\n\n")
 
 
 def cmd_trick(args: argparse.Namespace) -> int:

@@ -41,7 +41,7 @@ def binom(n: int, k: int) -> int:
     if k < 0:
         return 0
     if n >= 0:
-        return math.comb(n, k) if k <= n else 0
+        return math.comb(n, k)
     return (-1) ** k * math.comb(k - n - 1, k)
 
 

@@ -199,7 +199,7 @@ class GMatrix:
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
         """Certify an arbitrary matrix; ValueError if it fails or reads an inf or NaN float."""
-        return cls(m, sum(linalg.exact([r[i] for i, r in enumerate(m.rows)])))
+        return cls(m, permutation_sum(m, range(1, m.d + 1)))
 
     @classmethod
     def zero(cls, d: int) -> "GMatrix":
@@ -259,9 +259,9 @@ def permutation_sum(a: SquareMatrix, sigma: Sequence[int]) -> Scalar:
     """Sum of the entries covered by the rook placement sigma (1-based images)."""
     if len(sigma) != a.d:
         raise ValueError(f"permutation length {len(sigma)} != matrix side {a.d}")
-    if any(type(s) is not int for s in sigma) or sorted(sigma) != list(range(1, a.d + 1)):
+    if set(map(type, sigma)) != {int} or sorted(sigma) != list(range(1, a.d + 1)):
         raise ValueError("not a bijection on 1..d")
-    return sum(linalg.exact([a.rows[i][sigma[i] - 1] for i in range(a.d)]))
+    return sum(linalg.exact([r[s - 1] for r, s in zip(a.rows, sigma)]))
 
 
 def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Scalar | None:
@@ -293,20 +293,14 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
 
 
 def _exchange_witness(a: SquareMatrix, i: int, j: int) -> Witness:
-    # Two placements differing by one transposition: row 1 and row i take
-    # columns {1, j} in either order, remaining rows take remaining columns
-    # in ascending order. They share the d - 2 entries off rows 1 and i, so
-    # one pass sums both.
-    rows = a.rows
+    # Two placements differing by one transposition: rows 1 and i take columns {1, j} in
+    # either order, the other rows the other columns in ascending order.
     cols = [c for c in range(2, a.d + 1) if c != j]
     cols.insert(i - 2, j)  # the columns of rows 2..d
     sigma = (1, *cols)
     sigma_prime = (j, *cols[:i - 2], 1, *cols[i - 1:])
-    top, ri = rows[0], rows[i - 1]
-    a11, aij, a1j, ai1, *shared = linalg.exact([top[0], ri[j - 1], top[j - 1], ri[0]] + [
-        rows[r][c - 1] for r, c in enumerate(cols, 1) if r != i - 1])
     return Witness(quadruple=(1, 1, i, j), sigma=sigma, sigma_prime=sigma_prime,
-                   sums=(sum(shared) + a11 + aij, sum(shared) + a1j + ai1))
+                   sums=(permutation_sum(a, sigma), permutation_sum(a, sigma_prime)))
 
 
 def _labels(a: SquareMatrix) -> tuple[list[Scalar], list[Scalar]]:

@@ -1,18 +1,20 @@
+import contextlib
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import EXAMPLE_ROWS
 import gardner
-from gardner.boards import format_board_text
-from gardner.cli import main
+from gardner.boards import format_addition_table, format_board_text
+from gardner.cli import _print_board, main
 from gardner.counting import g_formula_3
-from gardner.matrix import SquareMatrix
+from gardner.matrix import SquareMatrix, decompose_canonical, trick_generate
 
 
 def run(capsys, *args):
@@ -201,6 +203,20 @@ def test_trick_labels_output_still_verifies(capsys, tmp_path):
     path.write_text(out)
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0 and out.strip() == "value 12"
+
+
+def test_board_and_label_table_are_printed_unjoined():
+    # print(*parts, sep=...) writes each part as it is: no joined copy of both parts.
+    g = trick_generate(1000, 5, seed=1)
+    size = len(format_board_text(g.matrix)) + len(format_addition_table(g, decompose_canonical(g)))
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            _print_board(g, False, board=True, table=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * size
 
 
 def test_trick_json_round_trip(capsys, tmp_path):

@@ -222,19 +222,43 @@ def fast_check_reference(a: SquareMatrix) -> FastCheck:
         sigma_prime = tuple(images[r] for r in range(1, d + 1))
         sums = (permutation_sum(a, sigma), permutation_sum(a, sigma_prime))
         return FastCheck(None, witness=Witness((1, 1, i, j), sigma, sigma_prime, sums))
-    return FastCheck(sum(a.rows[i][i] for i in range(d)))
+    return FastCheck(permutation_sum(a, range(1, d + 1)))
+
+
+def _large_tables(kind: str, rng: random.Random) -> list:
+    # int: boards at the sides trick-large-n tampers; fraction: one Fraction table; mixed:
+    # one float table, dyadic so that the reference's float differences are exact.
+    if kind == "int":
+        boards = [trick_generate(d, rng.randint(d * d, 10 ** 6), seed=d) for d in (16, 64, 128)]
+        return [[list(r) for r in g.matrix.rows] for g in boards]
+    if kind == "fraction":
+        lam, mu = ([Fraction(rng.randint(0, 99), rng.randint(1, 9)) for _ in range(24)]
+                   for _ in range(2))
+    else:
+        lam, mu = ([rng.randint(0, 99) / 8 for _ in range(24)] for _ in range(2))
+    return [[[m + l for l in lam] for m in mu]]
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
 def test_fast_check_matches_the_reference(kind):
     # Boards, boards shifted below zero, and tampered boards: negative_entry
     # wins over a witness and names the first negative entry in row-major order.
+    # Then larger tables, each as it is and with one entry raised.
     rng = random.Random(f"fast-check-{kind}")
 
     def scalar():
         if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
             return rng.randint(0, 6)
         return Fraction(rng.randint(0, 12), rng.randint(1, 4))
+
+    def check(rows):
+        m = SquareMatrix(tuple(map(tuple, rows)))
+        got, want = is_g_matrix_fast(m), fast_check_reference(m)
+        assert got == want, m.rows
+        assert type(got.value) is type(want.value)
+        if got.witness is not None:
+            assert list(map(type, got.witness.sums)) == list(map(type, want.witness.sums))
+        return m, got
 
     outcomes = Counter()
     for _ in range(1500):
@@ -247,15 +271,14 @@ def test_fast_check_matches_the_reference(kind):
         for _ in range(rng.choice([0, 1, 1, 2])):
             i, j = rng.randrange(d), rng.randrange(d)
             rows[i][j] += rng.choice([1, -1, -7, Fraction(1, 3)])
-        m = SquareMatrix(tuple(map(tuple, rows)))
-        got, want = is_g_matrix_fast(m), fast_check_reference(m)
-        assert got == want, m.rows
-        assert type(got.value) is type(want.value)
-        if got.witness is not None:
-            assert list(map(type, got.witness.sums)) == list(map(type, want.witness.sums))
+        m, got = check(rows)
         outcomes[bool(got), got.negative_entry is not None, got.witness is not None] += 1
         outcomes["negative and violated"] += bool(got.negative_entry and exchange_violations(m))
     assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes
+    for rows in _large_tables(kind, rng):
+        assert check(rows)[1]
+        rows[rng.randrange(1, len(rows))][rng.randrange(1, len(rows))] += 1
+        assert check(rows)[1].witness is not None
 
 
 def test_negative_entry_wins_over_a_violated_exchange():
