@@ -18,14 +18,15 @@ q orthogonal to U and q != 0, the set of y pairing to 1 against all of L is
 
 an involution with dim L + dim L-dagger = D - 1. Whenever q > 0 entrywise,
 intersecting L and L-dagger with the nonnegative orthant produces a Gale-dual
-pair. Checks are exact, over integers: SquareMatrix clears a board to n / D
-once for every predicate; HDescription.is_feasible clears its flat points.
+pair. Both hulls are J/d + U in closed form; J/d lies on both and is orthogonal to U, as
+every integer direction sums to 0. Checks are exact, over integers: SquareMatrix clears a
+board to n / D once for every predicate; HDescription.is_feasible clears its flat points.
 
-Both polytopes are Gorenstein of index d and compressed. gorenstein_check
-proves, by enumeration for d <= N <= n_max, that subtracting the all-ones J
-maps the interior lattice points of the N-th dilate onto those of the
-(N-d)-th (at N = d: J is the only interior point). compressed_check proves
-the Gardner vertices are 0/1 and tests cube ∩ hull = polytope near J/d only.
+Both polytopes are Gorenstein of index d and compressed. gorenstein_check enumerates the
+Gardner side only: for d <= N <= n_max, subtracting the all-ones J maps the interior lattice
+points of the N-th dilate onto those of the (N-d)-th (at N = d: J is the only interior point);
+nothing checks the Birkhoff side's Gorenstein property yet. compressed_check proves the
+Gardner vertices are 0/1 and tests cube ∩ hull = polytope near J/d only.
 """
 from __future__ import annotations
 
@@ -189,14 +190,14 @@ def _random_convex_combination(rng: random.Random, d: int) -> SquareMatrix:
 class AffineSubspace:
     """An affine subspace q + U of R^D in normalized form.
 
-    q is the point of the subspace closest to the origin (so q is orthogonal
-    to U) and the direction basis is in reduced row echelon form; equality of
-    normalized subspaces is therefore plain field equality.
+    q is the point of the subspace closest to the origin (so q is orthogonal to U) and the
+    direction basis, of exact scalars (int or Fraction), is in reduced row echelon form; equality
+    of normalized subspaces is therefore plain field equality (an int equals its Fraction).
     """
 
     ambient: int
     q: tuple[Fraction, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[Scalar, ...], ...]
 
     @classmethod
     def from_point_and_directions(cls, point: Sequence, directions: Sequence[Sequence],
@@ -322,27 +323,27 @@ def gale_pair_from_recipe(sub: AffineSubspace, sample_count: int = 20,
     return GaleDualPair(p_desc, q_desc, max(sample_count, 0))  # every failure raised
 
 
-def _centered_hull(d: int, directions: list[list[int]]) -> AffineSubspace:
-    # J/d is on both hulls and orthogonal to every direction (entries sum to 0)
-    # so it is the normalized base point; the basis is the directions' RREF
-    reduced, _ = linalg.rref(directions)
-    return AffineSubspace(d * d, (Fraction(1, d),) * (d * d), tuple(map(tuple, reduced)))
-
-
 def gardner_hull(d: int) -> AffineSubspace:
-    """Affine hull of the value-1 G-matrices, dimension 2d-2."""
+    """Affine hull of the value-1 G-matrices. Its 2d-2 directions (none at d = 1) are value-0
+    addition tables in RREF: C_1 - R_2 - ... - R_(d-1) + (d-3) R_d, C_j - R_d and R_i - R_d
+    (1 < j <= d, 1 < i < d): each 1 at its pivot (1,1), (1,j), (i,1), 0 at the rest and before."""
     _check_d_value(d)
-    c1, *others = (vertex_matrix(v).flat() for v in all_vertices(d))
-    return _centered_hull(d, [[a - b for a, b in zip(v, c1)] for v in others])
+    e = [[int(k == i) for k in range(d)] for i in range(d)]  # tables are (lambda, mu) pairs
+    tables = [(e[0], [0] + [-1] * (d - 2) + [d - 3])] * (d > 1)
+    tables += [(e[j], [-x for x in e[-1]]) for j in range(1, d)]
+    tables += [([0] * d, [a - b for a, b in zip(e[i], e[-1])]) for i in range(1, d - 1)]
+    return AffineSubspace(d * d, (Fraction(1, d),) * (d * d),
+                          tuple(tuple(m + x for m in mu for x in lam) for lam, mu in tables))
 
 
 def birkhoff_hull(d: int) -> AffineSubspace:
-    """Affine hull of the doubly stochastic matrices, dimension (d-1)^2; its
-    directions E_ij - E_id - E_dj + E_dd (i, j < d) are their own RREF."""
+    """Affine hull of the doubly stochastic matrices. Its (d-1)^2 directions E_ij - E_id - E_dj
+    + E_dd = (e_i - e_d)(e_j - e_d)^T (i, j < d; Brualdi & Gibson 1977) are their own RREF:
+    cell (i, j) is the first nonzero of direction (i, j) and zero in every other direction."""
     _check_d_value(d)
-    # E_ij - E_id - E_dj + E_dd is the outer product of e_i - e_d and e_j - e_d
     diffs = [[int(k == i) - int(k == d - 1) for k in range(d)] for i in range(d - 1)]
-    return _centered_hull(d, [[a * b for a in u for b in v] for u in diffs for v in diffs])
+    return AffineSubspace(d * d, (Fraction(1, d),) * (d * d),
+                          tuple(tuple(a * b for a in u for b in v) for u in diffs for v in diffs))
 
 
 @dataclass(frozen=True)
@@ -413,15 +414,14 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
     for hull, predicate, name in (
             (gardner_hull(d), _has_g_value, "value-1 G-check"),
             (birkhoff_hull(d), _has_line_sums, "doubly stochastic check")):
-        (q, dq), *cleared = hull._cleared
-        basis = [([(k, x) for k, x in enumerate(b) if x], db)  # nonzero entries of b / db
-                 for b, db in cleared]
+        q, dq = linalg.integer_vector(hull.q)
+        basis = [[(k, x) for k, x in enumerate(b) if x] for b in hull.basis]  # nonzero int entries
         for _ in range(sample_count):
             samples += 1
             # jitter r / m / (4d), the draws of _bounded_fraction(rng, -1, 1) / (4d):
             # randint(a, b) is a + randrange(b - a + 1), from one _randbelow call
             draws = [(rng.randrange(3) - 1, rng.randrange(1000) + 1) for _ in basis]
-            terms = [(r, 4 * d * m * db, b) for (r, m), (b, db) in zip(draws, basis) if r]
+            terms = [(r, 4 * d * m, b) for (r, m), b in zip(draws, basis) if r]
             den = math.lcm(dq, *(dc for _, dc, _ in terms))
             point = [x * (den // dq) for x in q]
             for r, dc, b in terms:

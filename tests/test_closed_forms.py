@@ -93,3 +93,46 @@ def test_hulls_match_normalization_from_vertices(d):
 def test_hull_duals_are_involutions(d):
     for hull in (gardner_hull(d), birkhoff_hull(d)):
         assert dual_subspace(dual_subspace(hull)) == hull
+
+
+def test_hulls_equal_the_rref_of_their_spanning_directions():
+    # The eliminations the closed forms replaced, kept as the oracle: the vertex
+    # differences against C_1, and the (d-1)^2 outer products of e_i - e_d and e_j - e_d.
+    for d in range(1, 17):
+        c1, *others = (vertex_matrix(v).flat() for v in all_vertices(d))
+        reduced, _ = linalg.rref([[a - b for a, b in zip(v, c1)] for v in others])
+        assert gardner_hull(d).basis == tuple(map(tuple, reduced))
+        diffs = [[int(k == i) - int(k == d - 1) for k in range(d)] for i in range(d - 1)]
+        reduced, _ = linalg.rref([[a * b for a in u for b in v] for u in diffs for v in diffs])
+        assert birkhoff_hull(d).basis == tuple(map(tuple, reduced))
+
+
+def _rref_pivots(basis) -> list[int]:
+    # each row's first nonzero is a 1, in a column where every other row is 0
+    pivots = [next(k for k, x in enumerate(row) if x) for row in basis]
+    assert all(row[p] == 1 for row, p in zip(basis, pivots))
+    assert all(sum(1 for row in basis if row[p]) == 1 for p in pivots)
+    assert pivots == sorted(set(pivots))
+    return pivots
+
+
+def test_hull_duality_holds_past_the_dense_route():
+    # dual_subspace(birkhoff_hull(d)) is J/d (|J/d|^2 = 1) plus the directions orthogonal
+    # to J and to every Birkhoff direction E_ij - E_id - E_dj + E_dd, a space of dimension
+    # d^2 - (d-1)^2 - 1 = 2d - 2. Every Gardner direction lies in it (entries summing to 0,
+    # and a zero pairing A[i,j] - A[i,d] - A[d,j] + A[d,d] with direction (i, j)), and 2d - 2
+    # of them in RREF with distinct pivots span it; RREF is unique, so the subspaces are equal.
+    for d in range(1, 21):
+        hull_g, hull_b = gardner_hull(d), birkhoff_hull(d)
+        assert hull_g.q == hull_b.q == (Fraction(1, d),) * (d * d)
+        assert len(_rref_pivots(hull_g.basis)) == 2 * d - 2
+        assert len(_rref_pivots(hull_b.basis)) == (d - 1) ** 2
+        assert (2 * d - 2) + (d - 1) ** 2 + 1 == d * d
+        for (i, j), flat in zip(itertools.product(range(d - 1), repeat=2), hull_b.basis):
+            cells = {i * d + j: 1, i * d + d - 1: -1, (d - 1) * d + j: -1, d * d - 1: 1}
+            assert {k: x for k, x in enumerate(flat) if x} == cells  # direction (i, j)
+        for flat in hull_g.basis:
+            a = [flat[k:k + d] for k in range(0, d * d, d)]
+            assert sum(flat) == 0
+            assert not any(a[i][j] - a[i][-1] - a[-1][j] + a[-1][-1]
+                           for i in range(d - 1) for j in range(d - 1))
