@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Row reduction, rank, null spaces, unique solves, and an integer determinant,
-all from one kernel: ``_eliminate`` runs fraction-free Gauss-Jordan on integer
-rows (Bareiss, Math. Comp. 1968), so every entry stays a minor of the input.
-``rref`` clears each row to integers once (``integer_vector``) and divides by
-the pivots at the end; ``det_bareiss`` reads the last pivot. ``exact`` is the
-package's one scalar rule, and every reader, ``dot`` too, keeps it, so nothing
-rounds: a float is the Fraction it equals and an infinity or a NaN a ValueError.
+Row reduction, rank, null spaces, unique solves, and an integer determinant, all from
+one kernel: ``_eliminate`` runs Gauss-Jordan on integer rows with positive pivots and
+touches only what changes, dividing a row by its content after a pivot other than 1.
+``rref`` clears each row to integers once (``integer_vector``) and divides by the pivots
+at the end; ``det_bareiss`` reads the kernel's determinant. ``exact`` is the package's
+one scalar rule, and every reader, ``dot`` too, keeps it, so nothing rounds: a float is
+the Fraction it equals and an infinity or a NaN a ValueError.
 """
 from __future__ import annotations
 
@@ -49,16 +49,16 @@ def integer_vector(xs: Sequence) -> tuple[list[int], int]:
     return [a * (den // b) for a, b in ratios], den
 
 
-def _eliminate(m: list[list[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place: at each pivot p
-    every other row becomes (p * row - f * pivot_row) // prev, exact since
-    every entry stays a minor. The pivot rows come first and each ends with
-    the last pivot on its pivot column. Returns the pivot columns, the sign
-    of the row swaps and the last pivot (1 when there is none)."""
+def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
+    """Gauss-Jordan on integer rows, in place, touching only what changes: each pivot p
+    is made positive, a row with 0 in the pivot column is left as it is, and another row
+    becomes row - f * pivot_row on the pivot row's nonzero columns at p = 1, and
+    (p * row - f * pivot_row) / g, g its content, at any other p. The pivot rows come
+    first. Returns the pivot columns and the determinant, sign * Πpivots * Πg / Πp."""
     if len({len(row) for row in m}) > 1:
         raise ValueError("rows have different lengths")
     pivots: list[int] = []
-    sign = prev = 1
+    num = den = 1
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
         pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
@@ -66,21 +66,28 @@ def _eliminate(m: list[list[int]]) -> tuple[list[int], int, int]:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            sign = -sign
+            num = -num
+        if m[r][c] < 0:  # swaps and negations set the determinant's sign
+            m[r], num = [-b for b in m[r]], -num
         top, p = m[r], m[r][c]
+        cols = [k for k, b in enumerate(top) if b]
         for i, row in enumerate(m):
             f = row[c]
-            if i != r and (f or p != prev):  # else the row is unchanged
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            if f and i != r and p == 1:  # in place: every row is the kernel's own list
+                for k in cols:
+                    row[k] -= f * top[k]
+            elif f and i != r:
+                new = [p * a - f * b for a, b in zip(row, top)]
+                g = math.gcd(*new) or 1  # a row can become all zeros
+                m[i], num, den = [x // g for x in new], num * g, den * p
         pivots.append(c)
-        prev = p
-    return pivots, sign, prev
+    return pivots, num * math.prod(row[c] for row, c in zip(m, pivots)) // den
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form: the nonzero reduced rows and the pivot columns."""
     m = [integer_vector(row)[0] for row in rows]
-    pivots, _, _ = _eliminate(m)
+    pivots, _ = _eliminate(m)
     reduced = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)]
     return reduced, pivots
 
@@ -126,11 +133,11 @@ def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> Vec | None:
 
 
 def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix: the signed last pivot, or 0 below full rank."""
+    """Exact determinant of an integer matrix, 0 below full rank (a name kept for the API)."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     if not all(isinstance(x, int) for row in rows for x in row):
         raise TypeError("det_bareiss needs int entries")
-    pivots, sign, last = _eliminate([list(row) for row in rows])
-    return sign * last if len(pivots) == n else 0
+    pivots, det = _eliminate([list(row) for row in rows])
+    return det if len(pivots) == n else 0

@@ -234,3 +234,77 @@ def test_dual_subspace_row_reduces_once(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counting_rref)
     assert dual_subspace(hull) == dual
     assert len(calls) == 1
+
+
+def _unit_matrices(rng):
+    # 0/+-1 inputs, where unit pivots and negated pivots occur: hull-shaped outer products,
+    # addition tables, negative leading entries, zero rows and repeated rows
+    n = rng.randint(2, 4)
+    us = [[rng.choice([-1, 0, 0, 1]) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    yield [[a * b for a in u for b in v] for u in us for v in us]
+    lam, mu = ([rng.choice([-1, 0, 1]) for _ in range(n)] for _ in range(2))
+    yield [[x + y for x in lam] for y in mu]
+    ncols = n + rng.randint(-1, 2)
+    rows = [[rng.choice([-1, -1, 0, 1]) for _ in range(ncols)] for _ in range(n)]
+    rows[0][0] = -1
+    rows.insert(rng.randrange(n + 1), [0] * ncols)
+    yield rows + [rows[rng.randrange(n)]]
+    yield [[rng.choice([-1, 0, 1]) for _ in range(n)] for _ in range(n)]
+
+
+def test_every_kernel_reader_is_exact_on_unit_entry_matrices():
+    rng = random.Random(37)
+    squares = nonsingular = 0
+    for _ in range(100):
+        for rows in _unit_matrices(rng):
+            ncols = len(rows[0])
+            reduced, pivots = linalg.rref(rows)
+            assert (reduced, pivots) == _fraction_rref(rows)
+            assert all(type(x) is Fraction for row in reduced for x in row)
+            assert linalg.rank(rows) == len(pivots)
+            basis = linalg.nullspace(rows, ncols)  # the unique RREF basis of the kernel
+            assert len(basis) == ncols - len(pivots)
+            assert _fraction_rref(basis)[0] == [list(v) for v in basis]
+            assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0
+                       for row in rows for v in basis)
+            if len(rows) == ncols:
+                det = linalg.det_bareiss(rows)
+                assert type(det) is int and det == _fraction_det(rows)
+                squares += 1
+                nonsingular += det != 0
+    assert squares > 200 and nonsingular > 60
+
+
+def test_no_reader_mutates_the_caller_rows():
+    int_rows = [[1, 2, -1], [3, 4, 0], [-1, 1, 1]]
+    shared = [1, 1, 0]
+    inputs = [int_rows, [shared, shared, [0, 1, 1]], [(2, -1, 1), (-1, 1, 0), (0, 1, 1)],
+              [[Fraction(1, 2), 1, 0], [1, Fraction(-1, 3), 2], [0, 1, 1]]]
+    for rows in inputs:
+        before = [list(row) for row in rows]
+        ids = [id(row) for row in rows]
+        linalg.rref(rows)
+        linalg.rank(rows)
+        linalg.nullspace(rows, 3)
+        linalg.solve_unique(rows, [1, 2, 3])
+        if all(type(x) is int for row in rows for x in row):
+            linalg.det_bareiss(rows)
+        assert [list(row) for row in rows] == before and [id(row) for row in rows] == ids
+
+
+def test_elimination_touches_only_the_rows_that_change(monkeypatch):
+    diagonal = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
+    m = list(diagonal)
+    assert linalg._eliminate(m) == ([0, 1, 2], 30)
+    assert all(a is b for a, b in zip(m, diagonal))
+    assert diagonal == [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
+    # dual_subspace's system for birkhoff_hull(10), columns reversed as nullspace reduces it:
+    # every direction shares the first pivot column, yet only a row update at a pivot other
+    # than 1 is dense, and each such update takes one content (math.gcd)
+    hull = birkhoff_hull(10)
+    rows = [linalg.integer_vector(v)[0][::-1] for v in (*hull.basis, hull.q)]
+    dense = []
+    gcd = linalg.math.gcd
+    monkeypatch.setattr(linalg.math, "gcd", lambda *xs: dense.append(xs) or gcd(*xs))
+    pivots, _ = linalg._eliminate(rows)
+    assert len(pivots) == 82 and len(dense) <= 9
