@@ -17,14 +17,15 @@ Two independent brute-force oracles are provided (a sweep over the first row
 and column, completed by the 2x2 exchange rule, and a labeling enumeration),
 plus interior counts for the reciprocity/Gorenstein cross-checks.
 
-Binomial convention: C(n, k) = 0 for k < 0; for negative n the polynomial
-extension n(n-1)...(n-k+1)/k! applies, so e.g. C(-1, k) = (-1)^k. Formula (2)
-needs this at N = 0, where it must (and does) sum to 1.
+Binomial convention: C(n, k) = 0 for k < 0, and C(n, k) = n(n-1)...(n-k+1)/k!
+for negative n, e.g. C(-1, k) = (-1)^k. Formula (1) reads C(-N-1, .) at every
+N, and formula (2) reads C(-1, .) at N = 0, where it must (and does) sum to 1.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -45,36 +46,36 @@ def binom(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
+def _binomial_row(n: int) -> Iterator[int]:
+    """C(n, 0), C(n, 1), ... by C(n, k+1) = C(n, k) (n-k)/(k+1), for any integer n."""
+    c = 1
+    for k in itertools.count():
+        yield c
+        c = c * (n - k) // (k + 1)
+
+
 def g_formula_1(d: int, value: int) -> int:
     """Inclusion-exclusion form of g_d(N).
 
-    Each binomial comes from the one before, C(d, k+1) = C(d, k) (d-k)/(k+1)
-    and C(n-1, r-1) = C(n, r) r/n, so the sum costs O(d) steps.
+    The sign folds into the second factor, (-1)^(k-1) C(N+2d-k-1, 2d-k-1) =
+    C(-N-1, 2d-k-1), so with C(d, k) = C(d, i), i = d-k, g_d(N) is
+    sum_{i=0}^{d-1} C(d, i) C(-N-1, d-1+i): two binomial rows read forward, O(d) steps.
     """
     _check_d_value(d, value)
-    n, r = value + 2 * d - 2, 2 * d - 2
-    total, a, b = 0, d, math.comb(n, r)  # a = C(d, k), b = C(n, r) with r = 2d-k-1
-    for k in range(1, d + 1):
-        total += (-1) ** (k - 1) * a * b
-        if k < d:  # n >= value + d >= 1
-            a, b, n, r = a * (d - k) // (k + 1), b * r // n, n - 1, r - 1
-    return total
+    return sum(map(operator.mul, itertools.islice(_binomial_row(d), d),
+                   itertools.islice(_binomial_row(-value - 1), d - 1, None)))
 
 
 def g_formula_2(d: int, value: int) -> int:
-    """Face-count form of g_d(N).
+    """Face-count form of g_d(N), one sum over f* and the row of N-1.
 
     For N >= 1, C(N-1, m-1) = 0 once m > N, so only the first min(N, 2d-1)
     terms are summed; N = 0 sums all 2d-1, with C(-1, m-1) = (-1)^(m-1).
-    Each binomial comes from the one before, so the sum costs O(d) steps.
     """
     _check_d_value(d, value)
     terms = 2 * d - 1 if value == 0 else min(value, 2 * d - 1)
-    total, c = 0, 1  # c = C(N-1, m): C(N-1, m+1) = C(N-1, m) (N-1-m) / (m+1)
-    for m, f in zip(range(terms), _f_star_entries(d)):
-        total += f * c
-        c = c * (value - 1 - m) // (m + 1)
-    return total
+    f = itertools.islice(_f_star_entries(d), terms)
+    return sum(map(operator.mul, f, _binomial_row(value - 1)))
 
 
 def g_formula_3(d: int, value: int) -> int:
@@ -187,17 +188,10 @@ def f_star(d: int) -> FStarVector:
 
 
 def _f_star_entries(d: int) -> Iterator[int]:
-    # f*_(m-1) = C(2d, m) - C(d, m-d) for m = 1..2d-1, each binomial from the
-    # one before: C(n, k) = C(n, k-1) (n-k+1) / k, where n-k+1 = 2d-m+1 for
-    # both C(2d, m) and C(d, m-d).
-    top, low = 1, 0  # C(2d, m) and C(d, m-d) at m = 0
-    for m in range(1, 2 * d):
-        top = top * (2 * d - m + 1) // m
-        if m == d:
-            low = 1
-        elif m > d:
-            low = low * (2 * d - m + 1) // (m - d)
-        yield top - low
+    # f*_(m-1) = C(2d, m) - C(d, m-d) for m = 1..2d-1: the row of 2d less the row of d,
+    # which starts at m = d, behind d-1 lazy zeros.
+    low = itertools.chain(itertools.repeat(0, d - 1), _binomial_row(d))
+    return map(operator.sub, itertools.islice(_binomial_row(2 * d), 1, 2 * d), low)
 
 
 def f_star_by_enumeration(d: int) -> FStarVector:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from gardner import counting
 from gardner.counting import (BudgetExceededError, CountingPolynomial, binom,
                               f_star, f_star_by_enumeration, g_bruteforce,
                               g_formula_1, g_formula_2, g_formula_3,
@@ -82,6 +83,13 @@ def test_binom_conventions():
     assert binom(-2, 2) == 3  # (-2)(-3)/2
 
 
+def test_binomial_row_extends_binom():
+    # Formula (1) reads the row at negative n, where binom's extension applies.
+    for n in range(-12, 13):
+        row = itertools.islice(counting._binomial_row(n), 26)
+        assert list(row) == [binom(n, k) for k in range(26)]
+
+
 # ------------------------------------------------------------- closed forms
 
 def test_formula_values():
@@ -99,7 +107,7 @@ def test_formula_values():
 
 def test_three_way_agreement():
     for d in range(1, 7):
-        for n in range(0, 21):
+        for n in [*range(0, 21), 10 ** 12]:
             a = g_formula_1(d, n)
             assert a == g_formula_2(d, n) == g_formula_3(d, n)
 
@@ -111,11 +119,28 @@ def test_formula_2_sums_only_the_nonzero_terms(d):
         assert g_formula_2(d, n) == g_formula_3(d, n)
 
 
+def test_formula_2_draws_only_the_terms_it_sums(monkeypatch):
+    # The min(N, 2d-1) cutoff bounds the work: at d = 10^5 and N = 5 no binomial row
+    # gives more than 6 entries, C(2d, 0) to C(2d, 5) for the row of 2d.
+    drawn, row = [], counting._binomial_row
+
+    def counted(n):  # the rows are drawn interleaved, so each keeps its own slot
+        i = len(drawn)
+        drawn.append(0)
+        for c in row(n):
+            drawn[i] += 1
+            yield c
+
+    monkeypatch.setattr(counting, "_binomial_row", counted)
+    assert g_formula_2(10 ** 5, 5) == g_formula_3(10 ** 5, 5)
+    assert drawn and max(drawn) <= 6
+
+
 @pytest.mark.parametrize("d", [7, 11, 400, 3000])
 def test_formula_1_matches_formula_3_at_large_d(d):
-    # Formula (1) steps each binomial from the one before; N = 0 and N = 1
-    # are the edges where C(n, r) meets n = r.
-    for n in (0, 1, 2, 10, 10 ** 6):
+    # Formula (1) reads C(-N-1, .) off one binomial row, at N = 0 the row
+    # of -1, the alternating ones.
+    for n in (0, 1, 2, 10, 10 ** 6, 10 ** 12):
         assert g_formula_1(d, n) == g_formula_3(d, n)
 
 

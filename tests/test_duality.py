@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -288,6 +289,47 @@ def test_gorenstein_d3_unique_interior_point():
 
 def test_gorenstein_d4():
     assert gorenstein_check(4, 5).passed
+
+
+# The Birkhoff side, counted: H_d(N) semi-magic squares, the lattice points of dilate N.
+
+def _rows_within(caps, total, low):
+    """Every tuple r with low <= r_j <= caps[j] and sum(r) = total."""
+    if len(caps) == 1:
+        return [(total,)] if low <= total <= caps[0] else []
+    return [(x,) + rest for x in range(low, min(caps[0], total) + 1)
+            for rest in _rows_within(caps[1:], total - x, low)]
+
+
+def _semi_magic(d, n, low=0):
+    """d x d integer matrices with every row and column sum n and every entry >= low:
+    H_d(n) at low = 0, the interior of dilate n at low = 1. Fills row by row within the
+    remaining column sums (kept sorted, as the count does not depend on their order);
+    the last row is forced, and counts if no entry of it is below low."""
+    @functools.cache
+    def fill(cols, rows_left):
+        if rows_left == 1:
+            return int(min(cols) >= low)
+        return sum(fill(tuple(sorted(c - x for c, x in zip(cols, row))), rows_left - 1)
+                   for row in _rows_within(cols, n, low))
+
+    return fill((n,) * d, d)
+
+
+def test_semi_magic_counts_match_known_values():
+    for n in range(8):
+        assert _semi_magic(1, n) == 1
+        assert _semi_magic(2, n) == n + 1
+        assert _semi_magic(3, n) == math.comb(n + 4, 4) + math.comb(n + 3, 4) + math.comb(n + 2, 4)
+    assert [_semi_magic(4, n) for n in range(5)] == [1, 24, 282, 2008, 10147]  # OEIS A001496
+
+
+@pytest.mark.parametrize("d, n_max", [(3, 11), (4, 9)])
+def test_birkhoff_dilates_are_gorenstein_of_index_d(d, n_max):
+    # The interior of dilate N is H_d(N - d), and no dilate below N = d has an
+    # interior point, so the index is exactly d.
+    for n in range(n_max + 1):
+        assert _semi_magic(d, n, low=1) == (_semi_magic(d, n - d) if n >= d else 0)
 
 
 @pytest.mark.parametrize("n_max, budget, candidates",
