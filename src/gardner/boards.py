@@ -46,13 +46,13 @@ class BoardDocument:
         stripped = text.lstrip()
         if stripped.startswith("{"):
             return cls.from_json(text)
-        lines = list(itertools.takewhile(bool, map(str.split, stripped.splitlines())))
-        if not lines:
-            raise BoardParseError("empty board")
-        try:
-            rows = [_parse_row(line) for line in lines]
+        try:  # one line's tokens at a time, so the d^2 token strings are never alive at once
+            rows = [_parse_row(tokens) for tokens in
+                    itertools.takewhile(bool, map(str.split, stripped.splitlines()))]
         except ValueError as exc:
             raise BoardParseError(str(exc)) from None
+        if not rows:  # an empty board parses no row
+            raise BoardParseError("empty board")
         if all(len(r) == len(rows) for r in rows):
             return cls(tuple(rows))
         body = rows[1:]  # under a header line that holds d, the number of body rows

@@ -9,11 +9,12 @@ dropping any single vertex leaves an affinely independent set.
 This module provides those vertices, the triangulation into the d simplices
 obtained by omitting one row vertex at a time, the matching half-open
 decomposition, exact barycentric coordinates, and the linear projection onto
-R^(2d-2) under which each triangulation cell becomes the standard simplex
-(which is how one sees the cells are unimodular).
+R^(2d-2) under which each triangulation cell becomes the standard simplex.
+The cells are unimodular because every coefficient of the circuit is +-1:
+each cell omits one vertex of it.
 
-Vertex order is C_1..C_d then R_1..R_d everywhere, so determinants and
-half-open bookkeeping are deterministic.
+Vertex order is C_1..C_d then R_1..R_d everywhere, so the half-open
+bookkeeping is deterministic.
 """
 from __future__ import annotations
 
@@ -245,16 +246,15 @@ def project_pi(a: SquareMatrix) -> tuple[Scalar, ...]:
 
 
 def unimodularity_check(cell: LatticeSimplex) -> bool:
-    """True iff the projected vertex differences have determinant +-1.
-
-    Requires a full-dimensional cell (2d - 1 vertices); anything smaller is
-    rejected as degenerate. Exact integer arithmetic throughout.
-    """
+    """True iff pi sends the vertices to 2d - 1 distinct points of the circuit 0, e_1..e_(2d-2),
+    w = (1, ..., 1, -1, ..., -1) (d - 1 of each sign). Its coefficients are +-1, so any 2d - 1 of
+    them span a simplex of determinant +-1. Requires a full-dimensional cell (2d - 1 vertices);
+    anything smaller is rejected as degenerate."""
     d = cell.d
     if cell.m != 2 * d - 1:
         raise ValueError("degenerate cell: expected 2d-1 vertices")
     if d == 1:
         return True
-    base, *others = (project_pi(vertex_matrix(v)) for v in cell.vertices)
-    diffs = [[x - y for x, y in zip(p, base)] for p in others]
-    return abs(linalg.det_bareiss(diffs)) == 1
+    zero_and_units = {tuple(int(i == k) for i in range(2 * d - 2)) for k in range(-1, 2 * d - 2)}
+    images = {project_pi(vertex_matrix(v)) for v in cell.vertices}
+    return len(images) == cell.m and images <= zero_and_units | {(1,) * (d - 1) + (-1,) * (d - 1)}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_VALUE
-from gardner import linalg
+from gardner import linalg, polytope
 from gardner.matrix import (GMatrix, Labeling, SquareMatrix, compose,
                             decompose_canonical, scale)
 from gardner.polytope import (HalfOpenSimplex, LatticeSimplex, all_vertices,
@@ -306,6 +306,40 @@ def test_unimodularity_of_all_cells():
 def test_unimodularity_rejects_degenerate():
     with pytest.raises(ValueError):
         unimodularity_check(cell_intersection(1, 2, 2))
+
+
+def unimodular_by_determinant(cell: LatticeSimplex) -> bool:
+    # The oracle: the projected vertex differences against the first vertex have
+    # determinant +-1, by elimination; project_pi is read through the module, so a
+    # patched projection reaches it too.
+    base, *others = (polytope.project_pi(vertex_matrix(v)) for v in cell.vertices)
+    diffs = [[x - y for x, y in zip(p, base)] for p in others]
+    return abs(linalg.det_bareiss(diffs)) == 1
+
+
+@pytest.mark.parametrize("kind", ["R", "C"])
+def test_unimodularity_agrees_with_the_determinant_oracle(kind):
+    for d in range(2, 13):
+        for cell in triangulation_cells(d, kind):
+            assert unimodularity_check(cell) == unimodular_by_determinant(cell) is True
+
+
+@pytest.mark.parametrize("kind", ["R", "C"])
+@pytest.mark.parametrize("at, factor", [(0, 2), (-1, 2), (0, 0)],
+                         ids=["first-doubled", "last-doubled", "first-zeroed"])
+def test_unimodularity_fails_under_a_mutated_projection(kind, at, factor, monkeypatch):
+    # Doubling a coordinate doubles every cell's determinant; zeroing one flattens
+    # every cell (C_1 and C_2 then share an image, or w leaves the circuit).
+    def mutated(a):
+        image = list(honest(a))
+        image[at] *= factor
+        return tuple(image)
+
+    honest = polytope.project_pi
+    monkeypatch.setattr(polytope, "project_pi", mutated)
+    for d in range(2, 9):
+        for cell in triangulation_cells(d, kind):
+            assert unimodularity_check(cell) is unimodular_by_determinant(cell) is False
 
 
 # ------------------------------- the integer weights against a Fraction solve
