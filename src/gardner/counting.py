@@ -308,10 +308,9 @@ def _line_sign(d: int, t: float) -> int:
     """Exact sign of Im F(t) (even d) or Re F(t) (odd d), computed with t = p/q
     as the Gaussian-integer product of (d+2j)q + 2ip = 2q(d/2 + j + it)."""
     p, q = t.as_integer_ratio()
-    re, im = 1, 0
-    for j in range(d):
-        a = (d + 2 * j) * q
-        re, im = re * a - im * 2 * p, re * 2 * p + im * a
+    re, im, b = 1, 0, 2 * p
+    for a in range(d * q, 3 * d * q, 2 * q):  # a = (d + 2j) q
+        re, im = re * a - im * b, re * b + im * a
     value = im if d % 2 == 0 else re
     return (value > 0) - (value < 0)
 

@@ -247,9 +247,9 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
     For L = q + U (normalized) this is q/|q|^2 + (U-perp ∩ q-perp); it is
     empty exactly when L passes through the origin (q = 0), which raises.
     q/|q|^2 is orthogonal to the dual directions (q is one of their
-    constraints), so it is already the normalized base point. The result is
-    verified on spanning sets, over the integers, before returning; applying
-    it twice returns the original subspace.
+    constraints), so it is already the normalized base point. Before returning, <q, q'> = 1,
+    U' ⊥ q, U ⊥ q' and U ⊥ U' are checked over the integers: by bilinearity, that is every
+    spanning pair pairing to 1. Applying it twice returns the original subspace.
     """
     (q, dq), *basis = sub._cleared  # q/|q|^2 = dq * q / (q . q) over the integers
     if not any(q):
@@ -258,10 +258,10 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
     q_dual = tuple(Fraction(dq * x, norm_sq) for x in q)
     directions = linalg.nullspace([b for b, _ in basis] + [q], sub.ambient)  # already RREF
     result = AffineSubspace(sub.ambient, q_dual, tuple(directions))
-    if any(linalg.dot(b, q) for b, _ in result._cleared[1:]):
+    (y, dy), *dual = spans = result._cleared  # q' = y / dy, then U'
+    if any(linalg.dot(c, q) for c, _ in dual):
         raise AssertionError("dual directions are not orthogonal to the base point")
-    pairs = itertools.product(sub.spanning_points(), result.spanning_points())
-    if any(linalg.dot(x, y) != dx * dy for (x, dx), (y, dy) in pairs):
+    if linalg.dot(q, y) != dq * dy or any(linalg.dot(b, z) for b, _ in basis for z, _ in spans):
         raise AssertionError("dual construction failed its pairing check")
     return result
 

@@ -521,6 +521,27 @@ def test_roots_digits_do_not_depend_on_the_interpreter():
     assert [r.imag for r in roots_check(9).roots[8:]] == [-t for t in upper[::-1]] + upper
 
 
+def _line_sign_reference(d, t):
+    # The sign of Im F(t) (even d) or Re F(t) (odd d), F(t) = prod_{j<d} (d/2 + j + it),
+    # multiplied out in Fractions.
+    re, im, t = Fraction(1), Fraction(0), Fraction(t)
+    for j in range(d):
+        a = Fraction(d, 2) + j
+        re, im = re * a - im * t, re * t + im * a
+    value = im if d % 2 == 0 else re
+    return (value > 0) - (value < 0)
+
+
+def test_line_sign_matches_the_fraction_product():
+    # t = 0 (Im F(0) = 0 for even d), then dyadic t of either sign from 2^-60 to 2^60.
+    rng = random.Random(7)
+    for d in range(1, 41):
+        ts = [0.0] + [math.ldexp(rng.randrange(2 ** 19, 2 ** 20), rng.randint(-79, 40))
+                      for _ in range(6)]
+        for t in ts + [-t for t in ts[1:]]:
+            assert counting._line_sign(d, t) == _line_sign_reference(d, t), (d, t)
+
+
 # ------------------------------------------ Lagrange interpolation as oracle
 
 def _lagrange(d):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -176,6 +177,13 @@ def test_dependent_directions_rejected():
     assert reduced.dim == 1
 
 
+def _pairs_on_all_spanning_points(sub: AffineSubspace, dual: AffineSubspace) -> bool:
+    """The all-pairs oracle: q and every q + b of one side pair to 1 with q' and every q' + c
+    of the other, over the integers."""
+    pairs = itertools.product(sub.spanning_points(), dual.spanning_points())
+    return all(linalg.dot(x, y) == dx * dy for (x, dx), (y, dy) in pairs)
+
+
 def _random_subspace(rng: random.Random) -> AffineSubspace | None:
     ambient = rng.randint(1, 8)
     n_dirs = rng.randint(0, ambient - 1)
@@ -197,7 +205,95 @@ def test_dual_is_an_involution_on_random_subspaces():
         dual = dual_subspace(sub)
         assert dual_subspace(dual) == sub
         assert sub.dim + dual.dim == sub.ambient - 1
+        assert _pairs_on_all_spanning_points(sub, dual)
         done += 1
+
+
+@pytest.mark.parametrize("hull", [gardner_hull, birkhoff_hull])
+def test_hull_duals_pass_the_all_pairs_oracle(hull):
+    for d in range(1, 13):
+        sub = hull(d)
+        assert _pairs_on_all_spanning_points(sub, dual_subspace(sub))
+
+
+_NOT_ORTHOGONAL = "dual directions are not orthogonal to the base point"
+_NO_PAIRING = "dual construction failed its pairing check"
+
+
+def _subspace_with_zeros_in_q(rng: random.Random) -> AffineSubspace:
+    # q has zero entries where the directions need not be zero, so a dual direction changed
+    # at a zero of q can stay orthogonal to q and still fail to be orthogonal to U.
+    ambient = rng.randint(3, 7)
+    q = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(ambient)]
+    q[rng.randrange(ambient)] = rng.randint(1, 3)
+    norm_sq, dirs = linalg.dot(q, q), []
+    for _ in range(rng.randint(1, ambient - 2)):  # random vectors projected into q-perp
+        v = [rng.randint(-2, 2) for _ in range(ambient)]
+        dirs.append([norm_sq * x - linalg.dot(v, q) * y for x, y in zip(v, q)])
+    return AffineSubspace.from_point_and_directions(q, dirs, reduce=True)
+
+
+def _corrupt(rng: random.Random, directions, q):
+    dirs = [list(c) for c in directions]
+    k, kind = rng.randrange(len(dirs)), rng.choice(("entry", "multiple of q", "dropped"))
+    if kind == "entry":  # half the time at a zero of q, where one exists
+        zeros = [i for i, x in enumerate(q) if x == 0]
+        i = rng.choice(zeros) if zeros and rng.random() < 0.5 else rng.randrange(len(q))
+        dirs[k][i] += rng.choice((-2, -1, Fraction(1, 2), 1, 3))
+    elif kind == "multiple of q":
+        f = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 4))
+        dirs[k] = [x + f * y for x, y in zip(dirs[k], q)]
+    else:
+        del dirs[k]
+    return kind, [tuple(c) for c in dirs]
+
+
+def test_dual_check_raises_exactly_when_the_all_pairs_oracle_fails(monkeypatch):
+    # nullspace returns a corruption of the true dual directions; dual_subspace must raise
+    # exactly when the oracle fails, U' ⊥ q's message first, then the pairing check's.
+    rng = random.Random(42)
+    subs = [hull(d) for hull in (gardner_hull, birkhoff_hull) for d in (2, 3, 4)]
+    subs += [_subspace_with_zeros_in_q(rng) for _ in range(12)]
+    nullspace, outcomes = linalg.nullspace, Counter()
+    for sub in subs:
+        directions = nullspace([*sub.basis, sub.q], sub.ambient)
+        q_dual = tuple(x / linalg.dot(sub.q, sub.q) for x in sub.q)
+        for _ in range(6 if directions else 0):
+            kind, corrupted = _corrupt(rng, directions, sub.q)
+            monkeypatch.setattr(duality.linalg, "nullspace", lambda rows, n: list(corrupted))
+            result = AffineSubspace(sub.ambient, q_dual, tuple(corrupted))
+            if _pairs_on_all_spanning_points(sub, result):
+                want = None
+                assert dual_subspace(sub) == result
+            else:
+                orthogonal = not any(linalg.dot(c, sub.q) for c in corrupted)
+                want = _NO_PAIRING if orthogonal else _NOT_ORTHOGONAL
+                with pytest.raises(AssertionError, match=want):
+                    dual_subspace(sub)
+            outcomes[kind, want] += 1
+    assert {kind for kind, _ in outcomes} == {"entry", "multiple of q", "dropped"}
+    assert {want for _, want in outcomes} == {None, _NOT_ORTHOGONAL, _NO_PAIRING}
+
+
+def test_dual_check_catches_a_base_point_off_the_directions_perp():
+    # Built directly, so not normalized: q = (1, 0) is not orthogonal to U = span (1, 1).
+    # U' is {0}, so U ⊥ q' alone fails, which no corruption of nullspace's output reaches.
+    sub = AffineSubspace(2, (Fraction(1), Fraction(0)), ((1, 1),))
+    assert not _pairs_on_all_spanning_points(sub, AffineSubspace(2, sub.q, ()))
+    with pytest.raises(AssertionError, match=_NO_PAIRING):
+        dual_subspace(sub)
+
+
+def test_dual_check_catches_a_base_point_that_does_not_pair_to_one(monkeypatch):
+    # The result's q' is doubled, so <q, q'> = 2 while U' ⊥ q, U ⊥ q' and U ⊥ U' still hold.
+    subs = [gardner_hull(3), birkhoff_hull(3),
+            AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])]
+    real = duality.AffineSubspace
+    monkeypatch.setattr(duality, "AffineSubspace",
+                        lambda ambient, q, basis: real(ambient, tuple(2 * x for x in q), basis))
+    for sub in subs:
+        with pytest.raises(AssertionError, match=_NO_PAIRING):
+            dual_subspace(sub)
 
 
 def test_hull_dimensions_and_duality():
