@@ -244,16 +244,18 @@ class AffineSubspace:
 def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
     """The affine subspace of all y with <x, y> = 1 for every x in the input.
 
-    For L = q + U (normalized) this is q/|q|^2 + (U-perp ∩ q-perp); it is
-    empty exactly when L passes through the origin (q = 0), which raises.
-    q/|q|^2 is orthogonal to the dual directions (q is one of their
-    constraints), so it is already the normalized base point. Before returning, <q, q'> = 1,
+    For L = q + U (normalized) this is q/|q|^2 + (U-perp ∩ q-perp); it is empty exactly when L
+    passes through the origin (q = 0), which raises, as does a q not orthogonal to U (a subspace
+    built directly, not normalized). q/|q|^2 is orthogonal to the dual directions (q is one of
+    their constraints), so it is already the normalized base point. Before returning, <q, q'> = 1,
     U' ⊥ q, U ⊥ q' and U ⊥ U' are checked over the integers: by bilinearity, that is every
     spanning pair pairing to 1. Applying it twice returns the original subspace.
     """
     (q, dq), *basis = sub._cleared  # q/|q|^2 = dq * q / (q . q) over the integers
     if not any(q):
         raise ValueError("subspace contains the origin; its dual is empty")
+    if any(linalg.dot(b, q) for b, _ in basis):
+        raise ValueError("base point is not orthogonal to the directions")
     norm_sq = sum(x * x for x in q)
     q_dual = tuple(Fraction(dq * x, norm_sq) for x in q)
     directions = linalg.nullspace([b for b, _ in basis] + [q], sub.ambient)  # already RREF

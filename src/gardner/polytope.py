@@ -13,8 +13,9 @@ R^(2d-2) under which each triangulation cell becomes the standard simplex.
 The cells are unimodular because every coefficient of the circuit is +-1:
 each cell omits one vertex of it.
 
-Vertex order is C_1..C_d then R_1..R_d everywhere, so the half-open
-bookkeeping is deterministic.
+Vertex order is C_1..C_d then R_1..R_d everywhere: C_j sits at slot j - 1
+and R_i at slot d + i - 1 of all_vertices(d), and every cell is that tuple
+with its omitted slots cut out, so the half-open bookkeeping is deterministic.
 """
 from __future__ import annotations
 
@@ -143,7 +144,8 @@ def triangulation_cells(d: int, omitted_kind: VertexKind = "R") -> list[LatticeS
     _check_d_value(d)
     if omitted_kind not in ("R", "C"):
         raise ValueError(f"omitted_kind must be 'R' or 'C', got {omitted_kind!r}")
-    return [_cell(d, omitted_kind, (k,)) for k in range(1, d + 1)]
+    verts, start = all_vertices(d), d if omitted_kind == "R" else 0
+    return [LatticeSimplex(verts[:s] + verts[s + 1:]) for s in range(start, start + d)]
 
 
 def cell_intersection(i: int, j: int, d: int) -> LatticeSimplex:
@@ -153,13 +155,8 @@ def cell_intersection(i: int, j: int, d: int) -> LatticeSimplex:
         raise ValueError("cell indices must differ")
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError("cell index out of range")
-    return _cell(d, "R", (i, j))
-
-
-def _cell(d: int, kind: VertexKind, omitted: tuple[int, ...]) -> LatticeSimplex:
-    # All vertices except the omitted ones of one kind, in all_vertices order.
-    return LatticeSimplex(tuple(v for v in all_vertices(d)
-                                if v.kind != kind or v.index not in omitted))
+    return LatticeSimplex(tuple(v for s, v in enumerate(all_vertices(d))
+                                if s + 1 - d not in (i, j)))  # R_i is slot d + i - 1
 
 
 def halfopen_cells(d: int) -> list[HalfOpenSimplex]:
@@ -168,9 +165,8 @@ def halfopen_cells(d: int) -> list[HalfOpenSimplex]:
     The cells then partition the polytope, so lattice points can be counted
     cell by cell with no inclusion-exclusion.
     """
-    cells = triangulation_cells(d)
-    return [HalfOpenSimplex(cell, frozenset(row_vertex(i, d) for i in range(1, k)))
-            for k, cell in enumerate(cells, start=1)]
+    return [HalfOpenSimplex(cell, frozenset(cell.vertices[d:d + k]))  # cell k + 1's R_1..R_k
+            for k, cell in enumerate(triangulation_cells(d))]
 
 
 def locate(g: GMatrix, omitted_kind: VertexKind = "R") -> int:

@@ -218,6 +218,7 @@ def test_hull_duals_pass_the_all_pairs_oracle(hull):
 
 _NOT_ORTHOGONAL = "dual directions are not orthogonal to the base point"
 _NO_PAIRING = "dual construction failed its pairing check"
+_OFF_THE_DIRECTIONS_PERP = "base point is not orthogonal to the directions"
 
 
 def _subspace_with_zeros_in_q(rng: random.Random) -> AffineSubspace:
@@ -280,7 +281,17 @@ def test_dual_check_catches_a_base_point_off_the_directions_perp():
     # U' is {0}, so U ⊥ q' alone fails, which no corruption of nullspace's output reaches.
     sub = AffineSubspace(2, (Fraction(1), Fraction(0)), ((1, 1),))
     assert not _pairs_on_all_spanning_points(sub, AffineSubspace(2, sub.q, ()))
-    with pytest.raises(AssertionError, match=_NO_PAIRING):
+    with pytest.raises(ValueError, match=_OFF_THE_DIRECTIONS_PERP):
+        dual_subspace(sub)
+
+
+def test_dual_rejects_a_base_point_off_the_directions_perp_with_a_nonzero_dual(monkeypatch):
+    # In 3-D the formula's U' = span e_3 is not empty, but q = e_1 pairs with (1, 1, 0), so
+    # q/|q|^2 + U' fails the oracle; the caller is told why, before any elimination.
+    sub = AffineSubspace(3, (Fraction(1), Fraction(0), Fraction(0)), ((1, 1, 0),))
+    assert not _pairs_on_all_spanning_points(sub, AffineSubspace(3, sub.q, ((0, 0, 1),)))
+    monkeypatch.setattr(duality.linalg, "nullspace", lambda rows, n: pytest.fail("eliminated"))
+    with pytest.raises(ValueError, match=_OFF_THE_DIRECTIONS_PERP):
         dual_subspace(sub)
 
 

@@ -92,13 +92,26 @@ def test_triangulation_cells():
         [["C2", "R1", "R2"], ["C1", "R1", "R2"]]
 
 
+@pytest.mark.parametrize("kind", ["R", "C"])
+def test_each_cell_is_all_vertices_less_its_omitted_vertex(kind):
+    # Oracle: a cell is every vertex but the one it omits, in all_vertices order.
+    for d in range(1, 13):
+        cells = triangulation_cells(d, kind)
+        assert len(cells) == d
+        for k, cell in enumerate(cells, start=1):
+            assert cell.vertices == tuple(v for v in all_vertices(d)
+                                          if v.kind != kind or v.index != k)
+
+
 def test_cell_intersection():
     assert names(cell_intersection(1, 2, 2)) == ["C1", "C2"]
     assert names(cell_intersection(1, 2, 3)) == ["C1", "C2", "C3", "R3"]
-    for d in (2, 3, 5):
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                assert cell_intersection(i, j, d).m == 2 * d - 2
+    for d in range(2, 9):
+        cells = triangulation_cells(d)
+        for i, j in itertools.permutations(range(1, d + 1), 2):
+            common = tuple(v for v in cells[i - 1].vertices if v in cells[j - 1].vertices)
+            assert cell_intersection(i, j, d).vertices == common
+            assert cell_intersection(i, j, d).m == 2 * d - 2
     with pytest.raises(ValueError):
         cell_intersection(2, 2, 3)
 
@@ -107,7 +120,7 @@ def test_halfopen_cells():
     cells = halfopen_cells(2)
     assert [sorted(map(str, c.excluded)) for c in cells] == [[], ["R1"]]
     assert halfopen_cells(1)[0].excluded == frozenset()
-    for d in (1, 2, 3, 6):
+    for d in range(1, 13):
         for k, c in enumerate(halfopen_cells(d), start=1):
             assert len(c.excluded) == k - 1
             assert c.excluded == {row_vertex(i, d) for i in range(1, k)}
