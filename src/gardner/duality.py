@@ -41,8 +41,8 @@ from typing import Iterator, Sequence
 from . import linalg
 from .counting import iter_g_matrices_flat
 from .matrix import (FACTORIAL_GUARD, FactorialGuardError, Scalar, SquareMatrix,
-                     _check_d_value, is_g_matrix_bruteforce, is_g_matrix_fast, scale,
-                     trick_generate)
+                     _check_d_value, _placement, is_g_matrix_bruteforce, is_g_matrix_fast,
+                     scale, trick_generate)
 from .polytope import all_vertices, vertex_matrix
 
 
@@ -53,10 +53,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        if (any(type(s) is not int for s in self.images)
-                or sorted(self.images) != list(range(1, len(self.images) + 1))):
-            raise ValueError("images are not a bijection on 1..d")
+        images = tuple(self.images)  # no d < 1: the empty tuple is not a bijection on 1..0
+        object.__setattr__(self, "images", _placement(images, len(images)))
 
     @property
     def d(self) -> int:
@@ -68,8 +66,8 @@ class Permutation:
 
 
 def permutations_of(d: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, d + 1)):
-        yield Permutation(images)
+    _check_d_value(d)  # at the call, not on the first iteration
+    return map(Permutation, itertools.permutations(range(1, d + 1)))
 
 
 def permutation_matrix(sigma: Permutation | Sequence[int]) -> SquareMatrix:
@@ -248,8 +246,8 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
     passes through the origin (q = 0), which raises, as does a q not orthogonal to U (a subspace
     built directly, not normalized). q/|q|^2 is orthogonal to the dual directions (q is one of
     their constraints), so it is already the normalized base point. Before returning, <q, q'> = 1,
-    U' ⊥ q, U ⊥ q' and U ⊥ U' are checked over the integers: by bilinearity, that is every
-    spanning pair pairing to 1. Applying it twice returns the original subspace.
+    U' ⊥ q and U ⊥ U' are checked over the integers (as q' = q/|q|^2, U ⊥ q gives U ⊥ q'):
+    by bilinearity, every spanning pair pairs to 1. Applied twice it returns the input subspace.
     """
     (q, dq), *basis = sub._cleared  # q/|q|^2 = dq * q / (q . q) over the integers
     if not any(q):
@@ -260,10 +258,10 @@ def dual_subspace(sub: AffineSubspace) -> AffineSubspace:
     q_dual = tuple(Fraction(dq * x, norm_sq) for x in q)
     directions = linalg.nullspace([b for b, _ in basis] + [q], sub.ambient)  # already RREF
     result = AffineSubspace(sub.ambient, q_dual, tuple(directions))
-    (y, dy), *dual = spans = result._cleared  # q' = y / dy, then U'
+    (y, dy), *dual = result._cleared  # q' = y / dy, then U'
     if any(linalg.dot(c, q) for c, _ in dual):
         raise AssertionError("dual directions are not orthogonal to the base point")
-    if linalg.dot(q, y) != dq * dy or any(linalg.dot(b, z) for b, _ in basis for z, _ in spans):
+    if linalg.dot(q, y) != dq * dy or any(linalg.dot(b, z) for b, _ in basis for z, _ in dual):
         raise AssertionError("dual construction failed its pairing check")
     return result
 
@@ -404,8 +402,7 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
     Points outside the cube would be discarded, but on the real hulls the jitter keeps
     every sample near J/d. Only the 2d Gardner vertices are checked to be 0/1 points.
     """
-    _check_d_value(d)
-    rng = random.Random(seed)
+    rng = random.Random(seed)  # d < 1 raises in all_vertices, before any sampling
     violations: list[str] = []
     samples = inside = 0
 

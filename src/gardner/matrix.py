@@ -255,13 +255,16 @@ def _check_d_value(d: int, value: int = 0) -> None:
         raise ValueError("value must be >= 0")
 
 
+def _placement(images: Sequence[int], d: int) -> tuple[int, ...]:
+    # The one rook-placement rule: int images (no bool, float or str) forming a bijection on 1..d.
+    if set(map(type, images)) != {int} or sorted(images) != list(range(1, d + 1)):
+        raise ValueError(f"not a bijection on 1..{d}")
+    return tuple(images)
+
+
 def permutation_sum(a: SquareMatrix, sigma: Sequence[int]) -> Scalar:
     """Sum of the entries covered by the rook placement sigma (1-based images)."""
-    if len(sigma) != a.d:
-        raise ValueError(f"permutation length {len(sigma)} != matrix side {a.d}")
-    if set(map(type, sigma)) != {int} or sorted(sigma) != list(range(1, a.d + 1)):
-        raise ValueError("not a bijection on 1..d")
-    return sum(linalg.exact([r[s - 1] for r, s in zip(a.rows, sigma)]))
+    return sum(linalg.exact([r[s - 1] for r, s in zip(a.rows, _placement(sigma, a.d))]))
 
 
 def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Scalar | None:
@@ -276,7 +279,7 @@ def is_g_matrix_bruteforce(a: SquareMatrix, guard: int = FACTORIAL_GUARD) -> Sca
     d = a.d
     if d > guard:
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
-    rows = a.rows if all(type(x) is int for r in a.rows for x in r) else a._cleared[0]
+    rows = a._cleared[0]  # an all-int board is its own clear
     sums: dict[int, Scalar] = {0: 0}  # bitmask of used columns -> covered sum
     for row in rows:
         extended: dict[int, Scalar] = {}

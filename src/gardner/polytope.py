@@ -57,6 +57,7 @@ def col_vertex(j: int, d: int) -> Vertex:
 
 def all_vertices(d: int) -> tuple[Vertex, ...]:
     """C_1..C_d then R_1..R_d."""
+    _check_d_value(d)
     return tuple(Vertex(kind, i, d) for kind in "CR" for i in range(1, d + 1))
 
 
@@ -83,7 +84,7 @@ class LatticeSimplex:
         d = verts[0].d
         if any(v.d != d for v in verts):
             raise ValueError("mixed side lengths")
-        if len(set(verts)) != len(verts):
+        if len({(v.kind, v.index) for v in verts}) != len(verts):  # one d, so no Vertex hashed
             raise ValueError("repeated vertex")
         if len(verts) == 2 * d:
             raise ValueError("the full vertex set is the circuit, not a simplex")
@@ -114,7 +115,6 @@ class HalfOpenSimplex:
 
 def circuit_check(d: int) -> bool:
     """True iff the row indicators and the column indicators both sum to J."""
-    _check_d_value(d)
     flats = [vertex_matrix(v).flat() for v in all_vertices(d)]  # C_1..C_d, then R_1..R_d
     cols, rows = (tuple(map(sum, zip(*half))) for half in (flats[:d], flats[d:]))
     return rows == (1,) * (d * d) == cols

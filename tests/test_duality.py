@@ -14,7 +14,7 @@ from gardner.duality import (AffineSubspace, Permutation, birkhoff_hull,
                              gorenstein_check, is_doubly_stochastic, pairing,
                              permutation_matrix, permutations_of)
 from gardner.matrix import (BudgetExceededError, FactorialGuardError, Labeling, SquareMatrix,
-                            compose, scale)
+                            compose, permutation_sum, scale)
 from gardner.polytope import all_vertices, row_vertex, vertex_matrix
 
 
@@ -40,6 +40,39 @@ def test_permutation_validation():
         Permutation((1, "2"))
     with pytest.raises(ValueError):
         Permutation((0, 1))
+    for side_below_one in (lambda: Permutation(()), lambda: Permutation.identity(0),
+                           lambda: Permutation.identity(-2), lambda: permutations_of(0),
+                           lambda: permutations_of(-3)):
+        with pytest.raises(ValueError):
+            side_below_one()  # permutations_of raises at the call, before any iteration
+
+
+def _refusal(build, t):
+    try:
+        build(t)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_permutation_and_permutation_sum_refuse_the_same_placements():
+    # Every permutation up to d = 3, then the identity up to d = 5 with one image replaced by
+    # a repeat, 0, d + 1, 1.0, True or "2" (or left as it is).
+    grid = [t for d in range(1, 4) for t in itertools.permutations(range(1, d + 1))]
+    for d in range(1, 6):
+        ident = tuple(range(1, d + 1))
+        grid += [ident[:k] + (x,) + ident[k + 1:] for k in range(d)
+                 for x in (1, 2, 0, d + 1, 1.0, True, "2")]
+    refused = 0
+    for t in grid:
+        d = len(t)
+        message = _refusal(Permutation, t)
+        assert message == _refusal(lambda s: permutation_sum(SquareMatrix.zero(d), s), t)
+        ints = all(type(x) is int for x in t)  # True == 1 and 1.0 == 1 would pass the lookup
+        is_one = ints and t in set(itertools.permutations(range(1, d + 1)))
+        assert message == (None if is_one else f"not a bijection on 1..{d}")
+        refused += message is not None
+    assert 0 < refused < len(grid)
 
 
 def test_permutation_matrices_are_doubly_stochastic():
@@ -278,7 +311,7 @@ def test_dual_check_raises_exactly_when_the_all_pairs_oracle_fails(monkeypatch):
 
 def test_dual_check_catches_a_base_point_off_the_directions_perp():
     # Built directly, so not normalized: q = (1, 0) is not orthogonal to U = span (1, 1).
-    # U' is {0}, so U ⊥ q' alone fails, which no corruption of nullspace's output reaches.
+    # U' is {0}, so only U ⊥ q' fails; as q' = q/|q|^2, the U ⊥ q test refuses it first.
     sub = AffineSubspace(2, (Fraction(1), Fraction(0)), ((1, 1),))
     assert not _pairs_on_all_spanning_points(sub, AffineSubspace(2, sub.q, ()))
     with pytest.raises(ValueError, match=_OFF_THE_DIRECTIONS_PERP):

@@ -257,6 +257,13 @@ def test_board_clear_is_cached_and_invisible_to_the_value():
     assert copy == used and "_cleared" not in vars(copy)
 
 
+def test_bruteforce_reads_an_integer_board_through_its_clear():
+    board = compose(Labeling((0, 2, 5), (1, 0, 4))).matrix
+    assert "_cleared" not in vars(board)
+    assert is_g_matrix_bruteforce(board) == 12
+    assert vars(board)["_cleared"][0] is board.rows
+
+
 def test_an_integer_board_is_its_own_clear(monkeypatch):
     monkeypatch.setattr(linalg, "integer_vector", lambda xs: pytest.fail("cleared an int board"))
     board = compose(Labeling((0, 2, 5), (1, 0, 4))).matrix

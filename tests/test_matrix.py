@@ -54,6 +54,8 @@ def test_permutation_sum_validates():
         permutation_sum(m, (1, 2))
     with pytest.raises(ValueError):
         permutation_sum(m, (1, 1, 2))
+    with pytest.raises(ValueError, match=r"not a bijection on 1\.\.3$"):
+        permutation_sum(m, (1, 2, 3, 4))  # a wrong length is not a bijection on 1..d either
     with pytest.raises(ValueError, match="not a bijection"):
         permutation_sum(SquareMatrix(((1, 2), (3, 4))), (1.0, 2.0))
     with pytest.raises(ValueError, match="not a bijection"):

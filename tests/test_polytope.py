@@ -40,6 +40,9 @@ def test_vertex_validation():
         row_vertex(0, 3)
     with pytest.raises(ValueError):
         col_vertex(4, 3)
+    for d in (0, -1):  # no vertex set for a side below 1, not an empty one
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            all_vertices(d)
 
 
 def test_circuit_check():
@@ -71,6 +74,17 @@ def test_simplex_validation():
         LatticeSimplex((row_vertex(1, 2), row_vertex(1, 3)))
     with pytest.raises(ValueError):
         LatticeSimplex(())
+    with pytest.raises(ValueError, match="repeated vertex"):
+        LatticeSimplex((col_vertex(2, 3), row_vertex(1, 3), col_vertex(2, 3)))
+    with pytest.raises(ValueError, match="mixed side lengths"):
+        LatticeSimplex((row_vertex(1, 2), row_vertex(1, 3)))
+
+
+def test_building_a_cell_hashes_no_vertex(monkeypatch):
+    # Distinctness is read off (kind, index) pairs, once every vertex has the same d.
+    monkeypatch.setattr(polytope.Vertex, "__hash__", lambda v: pytest.fail("hashed a Vertex"))
+    assert [c.m for c in triangulation_cells(3) + triangulation_cells(3, "C")] == [5] * 6
+    assert cell_intersection(1, 3, 3).m == 4
 
 
 def test_cells_are_affinely_independent():
