@@ -20,9 +20,7 @@ clear and the O(d^2) check a board keeps are deterministic, so a race only compu
 """
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -396,24 +394,24 @@ def trick_generate(d: int, value: int, mode: Literal["uniform", "quick"] = "unif
                    seed: int = 0) -> GMatrix:
     """Generate an integer board with constant rook sum ``value``.
 
-    Draws uniformly among all g_d(value) boards with no rejection, in
-    O(d log d) arithmetic steps at any value. A board lies in half-open
-    cell k when mu_k is the first zero of its canonical row labels; cell k
-    holds C(value+2d-k-1, 2d-2) boards, one per composition of value-(k-1)
-    into the other 2d-1 labels once 1 is taken off mu_1..mu_{k-1}. So pick
-    k by cell size, draw that composition, set mu_k = 0 and add the 1s
-    back. Deterministic per seed; mode="quick" is kept as an alias.
+    Draws one of formula (3)'s g_d(value) boards uniformly, with no rejection, in
+    O(d log d) arithmetic steps at any value. A board lies in half-open cell k when
+    mu_k is the first zero of its canonical row labels; cell k holds
+    C(value+2d-k-1, 2d-2) boards, one per composition of value-(k-1) into the
+    other 2d-1 labels once 1 is taken off mu_1..mu_{k-1}. So walk the cells in
+    order to the draw's, draw that composition, set mu_k = 0 and add the 1s back.
+    Deterministic per seed; mode="quick" is kept as an alias.
     """
     _check_d_value(d, value)
     if mode not in ("uniform", "quick"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     r = 2 * d - 2
-    weights = [math.comb(value + r, r)]
-    for m in range(value + r, value + d - 1, -1):
-        weights.append(weights[-1] * (m - r) // m)  # C(m-1, r) from C(m, r)
-    cumulative = list(itertools.accumulate(weights))
-    k = bisect.bisect_right(cumulative, rng.randrange(cumulative[-1]))  # cell k + 1
+    top = math.comb(value + r + 1, r + 1)  # formula (3): g_d = top - C(value+d-1, 2d-1)
+    u = rng.randrange(top - math.comb(value + d - 1, r + 1))
+    size, k = top * (r + 1) // (value + r + 1), 0  # cell 1 holds C(value+2d-2, 2d-2)
+    while u >= size:  # past cell k + 1; cell k + 2 holds C(value+2d-3-k, 2d-2)
+        u, size, k = u - size, size * (value - k) // (value + r - k), k + 1
     comp = _random_composition(rng, value - k, 2 * d - 1)
     mu = [x + 1 for x in comp[d:d + k]] + [0] + list(comp[d + k:])
     return compose(Labeling(comp[:d], mu))

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -645,10 +646,12 @@ def test_trick_law_is_exactly_uniform_on_every_rng_path(monkeypatch, d, value):
     assert set(law.values()) == {Fraction(1, len(boards))}
 
 
-def test_trick_cells_have_their_sizes_by_bisection(monkeypatch):
+# (8, 3) leaves cells 5-8 empty, so the walk must stop by cell 4; (1, 5) has one cell;
+# (3, 10**20) draws below a total of about 330 bits.
+@pytest.mark.parametrize("d,value", [(8, 10 ** 6), (8, 3), (1, 5), (3, 10 ** 20)])
+def test_trick_cells_have_their_sizes_by_bisection(monkeypatch, d, value):
     # Force the first draw x, let every later draw be 0, and read the cell back through
     # locate: cell k must take exactly C(N + 2d - k - 1, 2d - 2) of the first draws.
-    d, value = 8, 10 ** 6
     rngs = _replay_sampler(monkeypatch)
 
     def cell_of(x):
@@ -665,6 +668,27 @@ def test_trick_cells_have_their_sizes_by_bisection(monkeypatch):
         starts.append(lo)
     sizes = [b - a for a, b in zip(starts, starts[1:] + [total])]
     assert sizes == [math.comb(value + 2 * d - k - 1, 2 * d - 2) for k in range(1, d + 1)]
+
+
+def test_trick_draws_below_formula_3(monkeypatch):
+    rngs = _replay_sampler(monkeypatch)
+    for d in range(1, 13):
+        for value in (0, 1, d - 1, d, d * d, 10 ** 12):
+            rngs.append(_Replay((), last=0))
+            trick_generate(d, value)
+            assert rngs[-1].bounds[0] == g_formula_3(d, value)
+
+
+def test_trick_seeded_boards_are_pinned():
+    # The digest was computed by this same loop on the sampler that bisected a cumulative
+    # table of the d cell sizes, before it walked the cells: every seeded board is unchanged.
+    h = hashlib.sha256()
+    for d in (1, 2, 3, 8, 30, 128):
+        for value in (0, 1, 7, d * d, 10 ** 6, 10 ** 20):
+            for seed in (0, 1, 2):
+                for mode in ("uniform", "quick"):
+                    h.update(repr(trick_generate(d, value, mode, seed).matrix.rows).encode())
+    assert h.hexdigest() == "63a2d54b7efcaa0ed01b42d41cc31fa8ad3898ee67e08d8447ba2885b9f8baec"
 
 
 def test_trick_validates_arguments():
