@@ -28,6 +28,14 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    # Joins a bad choice's choices by repr on every CPython (3.13.x uses str); private argparse API
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        if action.choices is not None and value not in action.choices:
+            args = value, ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)" % args)
+
+
 def _budget_from_env() -> int | None:
     raw = os.environ.get("GARDNER_BUDGET")
     try:
@@ -130,7 +138,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gardner",
         description="Constant-rook-sum boards: generate, verify, count, and "
                     "inspect their polytope structure.")

@@ -102,9 +102,9 @@ def _has_g_value(a: SquareMatrix, value: Scalar = 1) -> bool:
     return is_g_matrix_fast(SquareMatrix(n)).value == value * den  # None on a failed check
 
 
-def _bounded_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
-    # Seeded rationals with denominator <= 1000.
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 1000))
+def _bounded_ratio(rng: random.Random, lo: int, hi: int) -> tuple[int, int]:
+    # Seeded r / m, lo <= r <= hi, 0 < m <= a thousand: randint's own draws, one _randbelow each
+    return lo + rng.randrange(hi - lo + 1), rng.randrange(1000) + 1
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
 
     samples = 0
     for _ in range(sample_count):
-        noise = SquareMatrix(tuple(tuple(_bounded_fraction(rng, 0, 3) for _ in range(d))
+        noise = SquareMatrix(tuple(tuple(Fraction(*_bounded_ratio(rng, 0, 3)) for _ in range(d))
                                    for _ in range(d)))
         value = rng.randint(1, 20)
         board = trick_generate(d, value, "quick", seed=rng.randrange(2 ** 32))
@@ -292,7 +292,7 @@ class GaleDualPair:
 def _sample_nonneg_point(rng: random.Random, sub: AffineSubspace) -> tuple[Fraction, ...]:
     # q is strictly positive, so the longest step t <= 1 along a random
     # direction offset that stays in the orthant is positive.
-    coeffs = [_bounded_fraction(rng, -3, 3) for _ in sub.basis]
+    coeffs = [Fraction(*_bounded_ratio(rng, -3, 3)) for _ in sub.basis]
     offset = [sum((c * b[k] for c, b in zip(coeffs, sub.basis)), Fraction(0))
               for k in range(sub.ambient)]
     t = min([Fraction(1)] + [qx / -ox for qx, ox in zip(sub.q, offset) if ox < 0])
@@ -417,9 +417,7 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
         basis = [[(k, x) for k, x in enumerate(b) if x] for b in hull.basis]  # nonzero int entries
         for _ in range(sample_count):
             samples += 1
-            # jitter r / m / (4d), the draws of _bounded_fraction(rng, -1, 1) / (4d):
-            # randint(a, b) is a + randrange(b - a + 1), from one _randbelow call
-            draws = [(rng.randrange(3) - 1, rng.randrange(1000) + 1) for _ in basis]
+            draws = [_bounded_ratio(rng, -1, 1) for _ in basis]  # jitter r / m / (4d)
             terms = [(r, 4 * d * m, b) for (r, m), b in zip(draws, basis) if r]
             den = math.lcm(dq, *(dc for _, dc, _ in terms))
             point = [x * (den // dq) for x in q]

@@ -255,6 +255,20 @@ def test_trick_usage_error(capsys):
     assert run(capsys, "trick")[0] == 2
 
 
+@pytest.mark.parametrize("args, wording", [
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'trick', "
+     "'verify', 'count', 'poly', 'roots', 'decompose', 'locate', 'duality')"),
+    (["trick", "3", "4", "--mode", "slow"],
+     "argument --mode: invalid choice: 'slow' (choose from 'uniform', 'quick')"),
+    (["count", "3", "5", "--formula", "4"],
+     "argument --formula: invalid choice: '4' (choose from '1', '2', '3', 'all')"),
+])
+def test_a_bad_choice_lists_the_choices_quoted(capsys, args, wording):
+    # CPython 3.13.x joins argparse's choices by str; the CLI quotes them on every version.
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == "" and err.splitlines()[-1].endswith(f"error: {wording}")
+
+
 def test_count_all_formulas(capsys):
     code, out, _ = run(capsys, "count", "2", "2")
     assert code == 0 and out.strip() == "9, 9, 9"

@@ -113,7 +113,8 @@ def test_compressed_check_keeps_the_points_inside_the_cube(monkeypatch):
     rng, inside = random.Random(seed), 0
     for hull in stretched.values():
         for _ in range(count):
-            jitter = [duality._bounded_fraction(rng, -1, 1) / (4 * d) for _ in hull.basis]
+            jitter = [Fraction(rng.randint(-1, 1), rng.randint(1, 1000)) / (4 * d)
+                      for _ in hull.basis]
             point = [qk + sum(c * b[k] for c, b in zip(jitter, hull.basis))
                      for k, qk in enumerate(hull.q)]
             inside += all(0 <= x <= 1 for x in point)
