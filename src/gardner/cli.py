@@ -1,4 +1,4 @@
-"""Command-line front end: subcommand x is handled by cmd_x, found by name, with no registry.
+"""Command-line front end: subcommand x is handled by cmd_x, found by name.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse
 error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment variable

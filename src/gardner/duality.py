@@ -130,8 +130,7 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
     against every R_i and C_j to is_doubly_stochastic. Samples are true
     points, perturbed points, noise, and mixes of d+1 permutation matrices.
     """
-    _check_d_value(d)
-    if sample_count < 0:
+    if sample_count < 0:  # d < 1 raises in all_vertices, before any sampling
         raise ValueError("sample_count must be >= 0")
     if d > guard:  # before the 2d vertex matrices, whose size grows with d^3
         raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
@@ -139,12 +138,11 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
     g_vertices = [vertex_matrix(v) for v in all_vertices(d)]
     pairs_to_one = HDescription(d * d, tuple((v.flat(), 1) for v in g_vertices))
 
-    vertex_pairings = 0
-    for v in g_vertices:
-        vertex_pairings += math.factorial(d)
+    for n, v in enumerate(g_vertices, 1):
         if is_g_matrix_bruteforce(v, guard) != 1:
-            return GalePairReport(d, vertex_pairings, 0,
+            return GalePairReport(d, n * math.factorial(d), 0,
                                   f"vertex {v!r} does not pair to 1 with every P_s")
+    vertex_pairings = 2 * d * math.factorial(d)
 
     samples = 0
     for _ in range(sample_count):
@@ -154,9 +152,8 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
         board = trick_generate(d, value, "quick", seed=rng.randrange(2 ** 32))
         point = scale(board, Fraction(1, value)).matrix
         i, j = rng.randrange(d), rng.randrange(d)
-        bumped_rows = [list(r) for r in point.rows]
-        bumped_rows[i][j] += 1
-        bumped = SquareMatrix(tuple(tuple(r) for r in bumped_rows))
+        rows, r = point.rows, point.rows[i]
+        bumped = SquareMatrix(rows[:i] + (r[:j] + (r[j] + 1,) + r[j + 1:],) + rows[i + 1:])
         stochastic_point = _random_convex_combination(rng, d)
         for a in (noise, point, bumped):
             samples += 1
@@ -404,7 +401,7 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
     """
     rng = random.Random(seed)  # d < 1 raises in all_vertices, before any sampling
     violations: list[str] = []
-    samples = inside = 0
+    inside = 0
 
     for v in all_vertices(d):
         if not all(x in (0, 1) for x in vertex_matrix(v).flat()):
@@ -416,7 +413,6 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
         q, dq = linalg.integer_vector(hull.q)
         basis = [[(k, x) for k, x in enumerate(b) if x] for b in hull.basis]  # nonzero int entries
         for _ in range(sample_count):
-            samples += 1
             draws = [_bounded_ratio(rng, -1, 1) for _ in basis]  # jitter r / m / (4d)
             terms = [(r, 4 * d * m, b) for (r, m), b in zip(draws, basis) if r]
             den = math.lcm(dq, *(dc for _, dc, _ in terms))
@@ -431,4 +427,4 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
             if not predicate(board, den):
                 rows = tuple(tuple(Fraction(x, den) for x in row) for row in board.rows)
                 violations.append(f"{name} fails on hull point {rows}")
-    return CompressedReport(d, samples, inside, tuple(violations))
+    return CompressedReport(d, 2 * max(sample_count, 0), inside, tuple(violations))

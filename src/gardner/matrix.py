@@ -46,7 +46,7 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """An immutable d-by-d matrix of exact scalars, 1-based accessors."""
+    """An immutable d-by-d matrix of exact scalars; entry, row and col take indices in 1..d."""
 
     rows: tuple[tuple[Scalar, ...], ...]
     _checked = None  # is_g_matrix_fast's FastCheck once it ran; no annotation, so not a field
@@ -88,9 +88,11 @@ class SquareMatrix:
         return self.rows[i - 1][j - 1]
 
     def row(self, i: int) -> tuple[Scalar, ...]:
+        self.entry(i, 1)  # entry's 1..d rule, so row(0) is no row read from the end
         return self.rows[i - 1]
 
     def col(self, j: int) -> tuple[Scalar, ...]:
+        self.entry(1, j)
         return tuple(r[j - 1] for r in self.rows)
 
     def flat(self) -> tuple[Scalar, ...]:

@@ -141,8 +141,7 @@ def triangulation_cells(d: int, omitted_kind: VertexKind = "R") -> list[LatticeS
     only two triangulations using no new vertices; cell k omits R_k (resp.
     C_k) and has 2d - 1 vertices.
     """
-    _check_d_value(d)
-    if omitted_kind not in ("R", "C"):
+    if omitted_kind not in ("R", "C"):  # d < 1 raises in all_vertices
         raise ValueError(f"omitted_kind must be 'R' or 'C', got {omitted_kind!r}")
     verts, start = all_vertices(d), d if omitted_kind == "R" else 0
     return [LatticeSimplex(verts[:s] + verts[s + 1:]) for s in range(start, start + d)]

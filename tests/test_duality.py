@@ -583,6 +583,17 @@ def test_gale_pair_check_reports_a_vertex_that_misses_a_pairing(monkeypatch):
     assert report.counterexample == f"vertex {first!r} does not pair to 1 with every P_s"
 
 
+def test_gale_pair_check_counts_the_pairings_up_to_the_failing_vertex(monkeypatch):
+    # The first two vertices pair to 1 and the third does not: 3 sweeps of d! placements each.
+    d, sweeps = 4, iter([1, 1, 2])
+    monkeypatch.setattr(duality, "is_g_matrix_bruteforce", lambda a, guard: next(sweeps))
+    report = gale_pair_check(d, 5)
+    third = vertex_matrix(all_vertices(d)[2])
+    assert report.vertex_pairings_checked == 3 * math.factorial(d)
+    assert report.samples_checked == 0
+    assert report.counterexample == f"vertex {third!r} does not pair to 1 with every P_s"
+
+
 def test_gale_pair_check_reports_a_g_side_disagreement(monkeypatch):
     # The noise board fails both checks; the scaled trick board, the second
     # sample, pairs to 1 with every P_s while the patched fast check says no.

@@ -9,8 +9,8 @@ import pytest
 from gardner import linalg
 from gardner.boards import BoardDocument, BoardParseError
 from gardner.counting import CountingPolynomial, FStarVector
-from gardner.duality import (AffineSubspace, HDescription, birkhoff_hull, gale_pair_from_recipe,
-                             is_doubly_stochastic, pairing)
+from gardner.duality import (AffineSubspace, HDescription, birkhoff_hull, gale_pair_check,
+                             gale_pair_from_recipe, is_doubly_stochastic, pairing)
 from gardner.matrix import (GMatrix, Labeling, SquareMatrix, compose, is_g_matrix_bruteforce,
                             is_g_matrix_fast, scale)
 from gardner.polytope import (Vertex, affine_hull_residual, barycentric, cell_intersection,
@@ -69,6 +69,17 @@ def test_square_matrix_sum_rejects_a_dimension_mismatch():
         SquareMatrix.all_ones(2) + SquareMatrix.all_ones(3)
 
 
+def test_row_and_col_refuse_an_index_outside_1_to_d():
+    # entry's 1..d rule: 0 and -1 read no row or column from the end, d + 1 no bare tuple error
+    m = SquareMatrix(((1, 2), (3, 4)))
+    for i in (0, -1, 3):
+        with raises(IndexError, f"index ({i}, 1) out of range for d=2"):
+            m.row(i)
+        with raises(IndexError, f"index (1, {i}) out of range for d=2"):
+            m.col(i)
+    assert (m.row(1), m.row(2), m.col(1), m.col(2)) == ((1, 2), (3, 4), (1, 3), (2, 4))
+
+
 @pytest.mark.parametrize("cols, rows", [((1, 2), (0,)), ((), ())], ids=["unequal", "empty"])
 def test_labeling_rejects_unequal_or_empty_labels(cols, rows):
     with raises(ValueError, "need d >= 1 column labels and equally many row labels"):
@@ -102,6 +113,8 @@ def test_triangulation_cells_and_locate_reject_a_bad_omitted_kind():
     with raises(ValueError, "omitted_kind must be 'R' or 'C', got 'X'"):
         triangulation_cells(3, "X")
     with raises(ValueError, "omitted_kind must be 'R' or 'C', got 'X'"):
+        triangulation_cells(0, "X")  # d < 1 is refused later, by all_vertices
+    with raises(ValueError, "omitted_kind must be 'R' or 'C', got 'X'"):
         locate(compose(Labeling((1, 2), (0, 3))), "X")
 
 
@@ -127,6 +140,12 @@ def test_feasibility_rejects_a_point_of_the_wrong_dimension():
     line = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
     with raises(ValueError, "point has wrong dimension"):
         gale_pair_from_recipe(line, sample_count=1).p.is_feasible([1, 1, 0])
+
+
+@pytest.mark.parametrize("d", [3, 0])  # d = 0 is refused later, by all_vertices
+def test_gale_pair_check_rejects_a_negative_sample_count(d):
+    with raises(ValueError, "sample_count must be >= 0"):
+        gale_pair_check(d, sample_count=-1)
 
 
 # ------------------------------------------------------- the one scalar rule
