@@ -119,8 +119,7 @@ class GalePairReport:
         return self.counterexample is None
 
 
-def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
-                    guard: int = FACTORIAL_GUARD) -> GalePairReport:
+def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0) -> GalePairReport:
     """Verify the Gale-dual relation between the two polytopes.
 
     (a) every vertex-vertex pairing <R_i or C_j, P_s> equals 1 exactly, over
@@ -132,14 +131,14 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
     """
     if sample_count < 0:  # d < 1 raises in all_vertices, before any sampling
         raise ValueError("sample_count must be >= 0")
-    if d > guard:  # before the 2d vertex matrices, whose size grows with d^3
-        raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {guard}")
+    if d > FACTORIAL_GUARD:  # before the 2d vertex matrices, whose size grows with d^3
+        raise FactorialGuardError(f"d={d} exceeds the d!-sweep guard {FACTORIAL_GUARD}")
     rng = random.Random(seed)
     g_vertices = [vertex_matrix(v) for v in all_vertices(d)]
     pairs_to_one = HDescription(d * d, tuple((v.flat(), 1) for v in g_vertices))
 
     for n, v in enumerate(g_vertices, 1):
-        if is_g_matrix_bruteforce(v, guard) != 1:
+        if is_g_matrix_bruteforce(v, FACTORIAL_GUARD) != 1:
             return GalePairReport(d, n * math.factorial(d), 0,
                                   f"vertex {v!r} does not pair to 1 with every P_s")
     vertex_pairings = 2 * d * math.factorial(d)
@@ -157,7 +156,7 @@ def gale_pair_check(d: int, sample_count: int = 40, seed: int = 0,
         stochastic_point = _random_convex_combination(rng, d)
         for a in (noise, point, bumped):
             samples += 1
-            rook_sum = is_g_matrix_bruteforce(a, guard)  # kept for the bumped board's test
+            rook_sum = is_g_matrix_bruteforce(a, FACTORIAL_GUARD)  # the bump's sum, read below
             if (rook_sum == 1) != _has_g_value(a):
                 return GalePairReport(d, vertex_pairings, samples,
                                       f"G-side equivalence fails on {a.rows}")
@@ -300,10 +299,12 @@ def gale_pair_from_recipe(sub: AffineSubspace, sample_count: int = 20,
                           seed: int = 0) -> GaleDualPair:
     """Build the Gale-dual pair cut out by a subspace with positive base point.
 
-    Returns H-style descriptions of P = orthant ∩ L and Q = orthant ∩
-    L-dagger, each cut out by <y, x> = 1 for the y spanning the other side,
-    after checking on sampled nonnegative points that cross pairings are 1.
+    Returns H-style descriptions of P = orthant ∩ L and Q = orthant ∩ L-dagger, each cut out
+    by <y, x> = 1 for the y spanning the other side, after checking on sample_count sampled
+    nonnegative points that cross pairings are 1; a negative sample_count raises ValueError.
     """
+    if sample_count < 0:  # before the base point and the dual are read
+        raise ValueError("sample_count must be >= 0")
     if not all(x > 0 for x in sub.q):
         raise ValueError("recipe needs a strictly positive base point")
     dual = dual_subspace(sub)
@@ -317,7 +318,7 @@ def gale_pair_from_recipe(sub: AffineSubspace, sample_count: int = 20,
             raise AssertionError("recipe sampling check failed")
         if not (p_desc.is_feasible(x) and q_desc.is_feasible(y)):
             raise AssertionError("sampled point infeasible for its own side")
-    return GaleDualPair(p_desc, q_desc, max(sample_count, 0))  # every failure raised
+    return GaleDualPair(p_desc, q_desc, sample_count)  # every failure raised
 
 
 def gardner_hull(d: int) -> AffineSubspace:
@@ -393,13 +394,15 @@ class CompressedReport:
 def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> CompressedReport:
     """Sample the affine hulls inside the unit cube and verify membership.
 
-    Every rational point of the G-matrix hull with entries in [0, 1] must be
-    a value-1 G-matrix, and every such point of the Birkhoff hull must be
-    doubly stochastic (cube ∩ hull = polytope, i.e. both are compressed).
+    Every rational point of the G-matrix hull with entries in [0, 1] must be a value-1
+    G-matrix, and every such point of the Birkhoff hull must be doubly stochastic (cube ∩ hull
+    = polytope: both are compressed). sample_count points per hull; a negative one raises.
     Points outside the cube would be discarded, but on the real hulls the jitter keeps
     every sample near J/d. Only the 2d Gardner vertices are checked to be 0/1 points.
     """
-    rng = random.Random(seed)  # d < 1 raises in all_vertices, before any sampling
+    if sample_count < 0:  # d < 1 raises in all_vertices, before any sampling
+        raise ValueError("sample_count must be >= 0")
+    rng = random.Random(seed)
     violations: list[str] = []
     inside = 0
 
@@ -427,4 +430,4 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
             if not predicate(board, den):
                 rows = tuple(tuple(Fraction(x, den) for x in row) for row in board.rows)
                 violations.append(f"{name} fails on hull point {rows}")
-    return CompressedReport(d, 2 * max(sample_count, 0), inside, tuple(violations))
+    return CompressedReport(d, 2 * sample_count, inside, tuple(violations))

@@ -496,9 +496,11 @@ def test_compressed_check():
 
 def test_sample_counts_are_the_requested_counts():
     assert compressed_check(2, sample_count=30, seed=1).samples == 60
-    assert compressed_check(2, sample_count=-3).samples == 0
+    with pytest.raises(ValueError, match="sample_count must be >= 0"):
+        compressed_check(2, sample_count=-3)
     line = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
-    assert gale_pair_from_recipe(line, sample_count=-1).samples_checked == 0
+    with pytest.raises(ValueError, match="sample_count must be >= 0"):
+        gale_pair_from_recipe(line, sample_count=-1)
 
 
 def test_hull_point_outside_cube_is_not_a_board():

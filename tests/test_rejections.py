@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from gardner import linalg
+from gardner import duality, linalg
 from gardner.boards import BoardDocument, BoardParseError
 from gardner.counting import CountingPolynomial, FStarVector
-from gardner.duality import (AffineSubspace, HDescription, birkhoff_hull, gale_pair_check,
-                             gale_pair_from_recipe, is_doubly_stochastic, pairing)
+from gardner.duality import (AffineSubspace, HDescription, birkhoff_hull, compressed_check,
+                             gale_pair_check, gale_pair_from_recipe, is_doubly_stochastic,
+                             pairing)
 from gardner.matrix import (GMatrix, Labeling, SquareMatrix, compose, is_g_matrix_bruteforce,
                             is_g_matrix_fast, scale)
 from gardner.polytope import (Vertex, affine_hull_residual, barycentric, cell_intersection,
@@ -142,10 +143,32 @@ def test_feasibility_rejects_a_point_of_the_wrong_dimension():
         gale_pair_from_recipe(line, sample_count=1).p.is_feasible([1, 1, 0])
 
 
-@pytest.mark.parametrize("d", [3, 0])  # d = 0 is refused later, by all_vertices
-def test_gale_pair_check_rejects_a_negative_sample_count(d):
+POSITIVE_LINE = AffineSubspace.from_point_and_directions([2, 0], [[1, -1]])
+ZERO_IN_Q = AffineSubspace.from_point_and_directions([1, 0], [[0, 1]])  # q = (1, 0)
+
+# Each sampler with a negative count, alone and with its other input invalid too
+# (d = 0, d over the d!-sweep guard, a base point with a zero entry): the count is named.
+NEGATIVE_COUNT_CALLS = {
+    "gale_pair_check": lambda: gale_pair_check(3, sample_count=-1),
+    "gale_pair_check, d = 0": lambda: gale_pair_check(0, sample_count=-1),
+    "gale_pair_check, d = 10": lambda: gale_pair_check(10, sample_count=-1),
+    "compressed_check": lambda: compressed_check(2, sample_count=-1),
+    "compressed_check, d = 0": lambda: compressed_check(0, sample_count=-1),
+    "gale_pair_from_recipe": lambda: gale_pair_from_recipe(POSITIVE_LINE, sample_count=-1),
+    "gale_pair_from_recipe, q = (1, 0)": lambda: gale_pair_from_recipe(ZERO_IN_Q, -1),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_COUNT_CALLS.values(), ids=NEGATIVE_COUNT_CALLS)
+def test_each_sampler_rejects_a_negative_sample_count(monkeypatch, call):
+    # The refusal comes first: no vertex, hull or dual is built before it.
+    def refuse(*args):
+        raise AssertionError("work started before the sample_count check")
+
+    for name in ("all_vertices", "gardner_hull", "dual_subspace"):
+        monkeypatch.setattr(duality, name, refuse)
     with raises(ValueError, "sample_count must be >= 0"):
-        gale_pair_check(d, sample_count=-1)
+        call()
 
 
 # ------------------------------------------------------- the one scalar rule
