@@ -4,9 +4,9 @@ Text format: an optional header line holding the single integer d, then d lines 
 whitespace-separated nonnegative decimal integers, each right-aligned to the widest on output.
 Leading blank lines are skipped; the next blank line ends the board, and what follows is ignored.
 
-JSON format: an object {"d": int, "entries": [[int, ...], ...]}, each row an
-array; entries may also be strings of ASCII decimal digits, and the metadata
-keys "value", "lambda" and "mu" (arrays) are accepted. Floats, booleans, signs
+JSON format: an object {"d": int, "entries": [[int, ...], ...]}, each row an array; entries
+may also be strings of ASCII decimal digits. The metadata keys "value" (one entry), "lambda" and
+"mu" (rows) are parsed, but nothing compares them with the board. Floats, booleans, signs
 and underscores are rejected. On output, integers are always decimal strings.
 """
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Command-line front end: subcommand x is handled by cmd_x, found by name.
 
-Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse
-error, 3 an enumeration budget was exceeded. The GARDNER_BUDGET environment variable
+Exit codes: 0 success, 1 a mathematical check failed, 2 usage or parse error, 3 an enumeration
+budget exceeded or a d over the d!-sweep guard (duality 10). The GARDNER_BUDGET variable
 overrides the default ceiling on the grid of (N+1)^(2d-1) first rows and columns,
 which bounds the brute-force sweep's work: it walks only the first columns of trace N.
 A budget that is not a nonnegative integer exits 2. main reads and certifies a board file
@@ -50,12 +50,11 @@ def _emit(data: dict, as_json: bool, text: str) -> None:
 
 def _print_board(g: GMatrix, as_json: bool, board: bool, table: bool) -> None:
     # Board text has d^2 entries, so only the requested format is built.
-    lab = decompose_canonical(g)
     if as_json:
-        print(json.dumps(board_json_payload(g, lab)))
+        print(json.dumps(board_json_payload(g, decompose_canonical(g))))
     else:
         parts = [format_board_text(g.matrix)] if board else []
-        parts += [format_addition_table(g, lab)] if table else []
+        parts += [format_addition_table(g, decompose_canonical(g))] if table else []
         print(*parts, sep="\n\n")
 
 
@@ -196,12 +195,12 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     try:
         if getattr(args, "file", None) is not None:
-            board = BoardDocument.load(args.file).to_matrix()
-            args.check = is_g_matrix_fast(board)
-            if not args.check and args.command != "verify":  # verify prints its own witness
+            args.check = is_g_matrix_fast(board := BoardDocument.load(args.file).to_matrix())
+            if args.check:  # a failed board reaches verify alone, which reads args.check
+                args.board = GMatrix(board, args.check.value)
+            elif args.command != "verify":  # verify prints its own witness
                 print("not a constant-rook-sum board", file=sys.stderr)
                 return EXIT_CHECK_FAILED
-            args.board = GMatrix(board, args.check.value) if args.check else board
         sys.set_int_max_str_digits(0)
         return args.func(args)
     except (BudgetExceededError, OSError, ValueError) as exc:

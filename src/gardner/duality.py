@@ -25,8 +25,8 @@ board to n / D once for every predicate; HDescription.is_feasible clears its fla
 Both polytopes are Gorenstein of index d and compressed. gorenstein_check enumerates the
 Gardner side only: for d <= N <= n_max, subtracting the all-ones J maps the interior lattice
 points of the N-th dilate onto those of the (N-d)-th (at N = d: J is the only interior point);
-nothing checks the Birkhoff side's Gorenstein property yet. compressed_check proves the
-Gardner vertices are 0/1 and tests cube ∩ hull = polytope near J/d only.
+nothing checks the Birkhoff side's Gorenstein property yet. compressed_check proves the Gardner
+vertices are 0/1 and tests cube ∩ hull = polytope near J/d only, through each hull's own clear.
 """
 from __future__ import annotations
 
@@ -413,11 +413,11 @@ def compressed_check(d: int, sample_count: int = 200, seed: int = 0) -> Compress
     for hull, predicate, name in (
             (gardner_hull(d), _has_g_value, "value-1 G-check"),
             (birkhoff_hull(d), _has_line_sums, "doubly stochastic check")):
-        q, dq = linalg.integer_vector(hull.q)
-        basis = [[(k, x) for k, x in enumerate(b) if x] for b in hull.basis]  # nonzero int entries
+        (q, dq), *cleared = hull._cleared  # each direction b / db: its nonzero ints b, and db
+        basis = [([(k, x) for k, x in enumerate(b) if x], db) for b, db in cleared]
         for _ in range(sample_count):
             draws = [_bounded_ratio(rng, -1, 1) for _ in basis]  # jitter r / m / (4d)
-            terms = [(r, 4 * d * m, b) for (r, m), b in zip(draws, basis) if r]
+            terms = [(r, 4 * d * m * db, b) for (r, m), (b, db) in zip(draws, basis) if r]
             den = math.lcm(dq, *(dc for _, dc, _ in terms))
             point = [x * (den // dq) for x in q]
             for r, dc, b in terms:

@@ -199,7 +199,7 @@ class GMatrix:
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "GMatrix":
         """Certify an arbitrary matrix; ValueError if it fails or reads an inf or NaN float."""
-        return cls(m, permutation_sum(m, range(1, m.d + 1)))
+        return cls(m, is_g_matrix_fast(m).value)  # __post_init__ reads the check the board keeps
 
     @classmethod
     def zero(cls, d: int) -> "GMatrix":

@@ -43,6 +43,17 @@ def test_verify_failure_shows_witness(capsys, tmp_path):
     assert "(1, 2)" in out and "(2, 1)" in out
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: board metadata is parsed and never "
+                   "compared with the entries, so verify prints the board's own value")
+def test_verify_names_metadata_that_contradicts_the_board(capsys, tmp_path):
+    path = tmp_path / "meta.json"
+    path.write_text('{"d": 2, "entries": [[1, 2], [3, 4]], "value": 99, '
+                    '"lambda": [1, 2, 3], "mu": [7]}')
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and "value 5" not in out
+    assert any(field in out + err for field in ("value", "lambda", "mu"))
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("x y\n")

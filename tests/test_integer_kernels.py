@@ -123,6 +123,31 @@ def test_compressed_check_keeps_the_points_inside_the_cube(monkeypatch):
     assert report.passed
 
 
+def test_compressed_check_samples_a_fraction_basis_through_its_clear(monkeypatch):
+    # Directions over a denominator 7 span the same hulls: each is sampled as its integer
+    # clear b / 7, so the kept points are counted against the same draws in Fraction arithmetic.
+    d, count, seed = 3, 80, 4
+    hulls = []
+    for name in ("gardner_hull", "birkhoff_hull"):
+        hull = getattr(duality, name)(d)
+        hulls.append(AffineSubspace(hull.ambient, hull.q, tuple(
+            tuple(Fraction(300, 7) * x for x in b) for b in hull.basis)))
+        monkeypatch.setattr(duality, name, lambda _, hull=hulls[-1]: hull)
+    assert all(den == 7 for hull in hulls for _, den in hull._cleared[1:])
+    report = compressed_check(d, count, seed)
+    rng, inside = random.Random(seed), 0
+    for hull in hulls:
+        for _ in range(count):
+            jitter = [Fraction(rng.randint(-1, 1), rng.randint(1, 1000)) / (4 * d)
+                      for _ in hull.basis]
+            point = [qk + sum(c * b[k] for c, b in zip(jitter, hull.basis))
+                     for k, qk in enumerate(hull.q)]
+            inside += all(0 <= x <= 1 for x in point)
+    assert report.samples == 2 * count
+    assert 0 < report.inside_cube == inside < report.samples
+    assert report.passed
+
+
 def test_compressed_check_names_the_hull_point_it_rejects(monkeypatch):
     seen = []
 

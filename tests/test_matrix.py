@@ -734,16 +734,40 @@ def test_gmatrix_constructor_validates():
 
 
 def test_from_matrix_certifies_once(monkeypatch, example_matrix):
-    import gardner.matrix
-    calls = []
-    check = gardner.matrix.is_g_matrix_fast
-    monkeypatch.setattr(gardner.matrix, "is_g_matrix_fast", lambda a: calls.append(a) or check(a))
+    # from_matrix's value is its board's check, which __post_init__ reads back without a scan
+    calls = _count_exchange_scans(monkeypatch)
     assert GMatrix.from_matrix(example_matrix).value == EXAMPLE_VALUE
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] is example_matrix
     with pytest.raises(ValueError, match=r"violated quadruple \(1, 1, 2, 2\)"):
         GMatrix.from_matrix(SquareMatrix.identity(2))
     with pytest.raises(ValueError, match=r"negative entry at \(2, 1\)"):
         GMatrix.from_matrix(mat([[1, 2], [-1, 0]]))
+
+
+_ONES = ((1.0, 1.0, 1.0),) * 3
+
+
+def _with(rows, i, j, x):
+    # rows with entry (i, j), 1-based, set to x
+    return tuple(tuple(x if (a, b) == (i, j) else y for b, y in enumerate(r, 1))
+                 for a, r in enumerate(rows, 1))
+
+
+@pytest.mark.parametrize("rows, value", [
+    (EXAMPLE_ROWS, EXAMPLE_VALUE), (((0, 1, 0), (1, 0, 0), (0, 0, 1)), 1), (((1, 2), (-1, 0)), 2),
+    *[(_with(_ONES, i, j, x), 3) for x in (math.inf, -math.inf, math.nan)
+      for i, j in ((2, 2), (2, 3))]],
+    ids=["passing", "witness", "negative",
+         *[f"{x}-at-{i}{j}" for x in ("inf", "-inf", "nan") for i, j in ("22", "23")]])
+def test_from_matrix_agrees_with_the_stated_value_constructor(rows, value):
+    # The same value, or the same ValueError: negative entry first, then the witness's sums.
+    def outcome(build):
+        try:
+            return "value", build(SquareMatrix(rows)).value
+        except ValueError as exc:
+            return "error", str(exc)
+
+    assert outcome(GMatrix.from_matrix) == outcome(lambda m: GMatrix(m, value))
 
 
 def test_square_matrix_validates():

@@ -25,9 +25,16 @@ test "$(grep -c 'is_g_matrix_fast(' src/gardner/cli.py)" -eq 1
 # Board text reads its width off row 1 and column 1 in O(d), so matrix.py has no
 # whole-board map(min, ...) or map(max, ...).
 ! grep -nE 'map\((min|max), ' src/gardner/matrix.py || exit 1
-# permutation_sum is matrix.py's one rook-placement sum: from_matrix, the d!-sweep and
-# the witness's two placements read theirs through it, so it is named at least 5 times.
-test "$(grep -o 'permutation_sum(' src/gardner/matrix.py | wc -l)" -ge 5
+# permutation_sum is matrix.py's one rook-placement sum: the d!-sweep's value and the
+# witness's two placements read theirs through it, so it is named at least 4 times.
+test "$(grep -o 'permutation_sum(' src/gardner/matrix.py | wc -l)" -ge 4
+# from_matrix's value is its board's one O(d^2) check, so from_matrix, from its def to the
+# blank line after it, names no permutation_sum.
+! sed -n '/def from_matrix/,/^$/p' src/gardner/matrix.py | grep -n 'permutation_sum' || exit 1
+# Each hull is cleared to integers once, in AffineSubspace._cleared, which dual_subspace,
+# spanning_points and compressed_check read; the other clear is HDescription.is_feasible's of
+# its point, so duality.py names linalg.integer_vector( exactly twice.
+test "$(grep -c 'linalg.integer_vector(' src/gardner/duality.py)" -eq 2
 # Both hulls are written in closed form, in RREF, so duality.py row reduces only in
 # AffineSubspace.from_point_and_directions and names linalg.rref( exactly once.
 test "$(grep -c 'linalg.rref(' src/gardner/duality.py)" -eq 1
